@@ -349,15 +349,20 @@ let micro_tests () =
         in
         ignore (Rwset.merge_into ~child:set ~parent:set)))
   in
-  let heap_ops =
-    let module H = Util.Heap.Make (Int) in
-    Test.make ~name:"heap.add+pop x64" (Staged.stage (fun () ->
-        let h = H.create () in
-        for i = 63 downto 0 do
-          H.add h i
+  let engine_ops =
+    (* 128 far-future events stay queued: about the heap depth a QR-CN run
+       keeps once its fixed-delay timers sit in lanes. *)
+    let engine = Sim.Engine.create () in
+    let nop () = () in
+    for i = 0 to 127 do
+      Sim.Engine.schedule engine ~delay:(1e12 +. Float.of_int i) nop
+    done;
+    Test.make ~name:"engine.schedule+step x64" (Staged.stage (fun () ->
+        for i = 0 to 63 do
+          Sim.Engine.schedule engine ~delay:(Float.of_int ((i * 37) land 63)) nop
         done;
         for _ = 0 to 63 do
-          ignore (H.pop h)
+          ignore (Sim.Engine.step engine)
         done))
   in
   let rng_ops =
@@ -370,7 +375,7 @@ let micro_tests () =
     Test.make ~name:"cluster.txn end-to-end" (Staged.stage (fun () ->
         ignore (Cluster.run_program cluster ~node:3 (fun () -> Txn.read oid))))
   in
-  [ tree_quorum; replica_ops; rqv_validate; rwset_ops; heap_ops; rng_ops; txn_interpret ]
+  [ tree_quorum; replica_ops; rqv_validate; rwset_ops; engine_ops; rng_ops; txn_interpret ]
 
 let micro () =
   let open Bechamel in

@@ -10,6 +10,9 @@
    is preserved. *)
 type termination = {
   engine : Sim.Engine.t;
+  lease_lane : Sim.Engine.lane;
+      (* Watchers arm at grant + lease duration + grace — a fixed delay, so
+         one lane shared by every replica of the engine stays in order. *)
   rpc : (Messages.request, Messages.reply) Sim.Rpc.t;
   status_peers : unit -> int list;
   node_alive : int -> bool;
@@ -247,7 +250,8 @@ let rec watch_lease t term ~txn ~oids () =
     in
     let deadline = latest +. term.config.Config.status_grace in
     if Sim.Engine.now term.engine +. 1e-9 < deadline then
-      Sim.Engine.schedule_at term.engine ~time:deadline (watch_lease t term ~txn ~oids:held)
+      Sim.Engine.schedule_lane term.lease_lane ~time:deadline
+        (watch_lease t term ~txn ~oids:held)
     else begin
       Metrics.note_lease_expired term.metrics;
       (match held with
@@ -261,15 +265,15 @@ let rec watch_lease t term ~txn ~oids () =
 let watch_granted t ~txn ~oids ~expires =
   match t.termination with
   | Some term when leases_on t ->
-    Sim.Engine.schedule_at term.engine
+    Sim.Engine.schedule_lane term.lease_lane
       ~time:(expires +. term.config.Config.status_grace)
       (watch_lease t term ~txn ~oids)
   | Some _ | None -> ()
 
-let enable_termination ?(node_alive = fun _ -> true) t ~engine ~rpc
+let enable_termination ?(node_alive = fun _ -> true) t ~engine ~lease_lane ~rpc
     ~status_peers ~metrics ~config =
   t.termination <-
-    Some { engine; rpc; status_peers; node_alive; metrics; config };
+    Some { engine; lease_lane; rpc; status_peers; node_alive; metrics; config };
   (* A lease restored from a batch handover may have outlived the watcher
      armed at its original grant (the watcher dies when [still_held] sees
      the successor as owner), so re-arm one: left unwatched, a restored

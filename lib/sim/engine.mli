@@ -1,7 +1,8 @@
 (** Discrete-event simulation engine.
 
     The engine owns virtual time (in milliseconds) and a priority queue of
-    events.  Everything in the reproduction — network delivery, node
+    events: a binary heap ordered by (time, seq) plus FIFO timer lanes
+    (see {!lane}).  Everything in the reproduction — network delivery, node
     processing, client think time, failure injection — is an event.  Events
     scheduled for the same instant fire in scheduling order, which together
     with the seeded {!Util.Rng} makes every experiment fully deterministic. *)
@@ -40,6 +41,29 @@ val schedule_at_seq : t -> time:float -> seq:int -> (unit -> unit) -> unit
     {!reserve_seq}.  Reusing a seq already in the queue is not checked —
     callers own the discipline. *)
 
+type lane
+(** A FIFO timer lane: a queue for timers armed at a fixed delay (RPC
+    timeouts, lease watchers), whose times therefore arrive in
+    non-decreasing order.  Such timers are most of what is pending in a
+    quorum protocol and almost never do anything; a lane holds them in
+    arrival order at O(1) per append and pop instead of sifting them
+    through the heap. *)
+
+val lane : t -> lane
+(** A fresh, empty lane on this engine.  Lanes are few and long-lived
+    (one per component); every dispatch looks at each lane's head. *)
+
+val schedule_lane : lane -> time:float -> (unit -> unit) -> unit
+(** [schedule_at] through a lane, with the same result: the entry takes
+    its seq from {!reserve_seq} and its time is clamped to [now] exactly
+    as [schedule_at] does, and dispatch always fires the least (time, seq)
+    over the heap and every lane head.  So routing a timer through a lane
+    never changes the event order, {!pending}, {!events_processed} or the
+    clock.  The entry joins the lane only if its time is no earlier than
+    the lane's last entry; otherwise it goes to the heap.  A lane is
+    therefore always sorted, and an out-of-order timer costs a heap entry,
+    never a wrong order. *)
+
 val run : ?until:float -> t -> unit
 (** Drain the event queue, advancing virtual time.  With [until], stops once
     the next event lies strictly beyond that time (the clock is then set to
@@ -49,7 +73,7 @@ val step : t -> bool
 (** Execute exactly one event; [false] when the queue is empty. *)
 
 val pending : t -> int
-(** Number of queued events. *)
+(** Number of queued events, lane entries included. *)
 
 val events_processed : t -> int
 (** Total events executed since creation. *)

@@ -44,7 +44,7 @@ type 'msg envelope = {
   mutable e_kind : int;
   mutable e_src : int;
   mutable e_dst : int;
-  mutable e_msg : 'msg option;
+  mutable e_msg : 'msg;
   mutable e_phase : int; (* 0 = arrive at dst; 1 = invoke handler *)
   mutable e_fire : unit -> unit; (* set at creation, references this record *)
 }
@@ -56,7 +56,7 @@ type 'msg envelope = {
 type 'msg wave = {
   mutable w_kind : int;
   mutable w_src : int;
-  mutable w_msg : 'msg option;
+  mutable w_msg : 'msg;
   mutable w_times : float array;
   mutable w_seqs : int array;
   mutable w_dsts : int array;
@@ -90,6 +90,10 @@ type 'msg t = {
       (* [plan_send] scratch: delays of the deliveries (0..2) staged by the
          last call.  A buffer instead of a callback so the per-message fast
          path allocates no closure. *)
+  mutable filler : 'msg option;
+      (* The first message this network carried.  A released envelope or
+         wave holds it in place of its payload, so the pools never keep a
+         delivered message alive, at no allocation per delivery. *)
   mutable env_free : 'msg envelope array; (* envelope free stack *)
   mutable env_free_len : int;
   mutable wave_free : 'msg wave array; (* wave free stack *)
@@ -119,6 +123,7 @@ let create ~engine ~topology ?(service_time = 0.25) ?(jitter = 0.1) ?(seed = 7)
     kind_counts = Array.make (Kind.registered ()) 0;
     batching = batch_fanout;
     plan_delays = Array.make 2 0.;
+    filler = None;
     env_free = [||];
     env_free_len = 0;
     wave_free = [||];
@@ -224,8 +229,7 @@ let trace_net t ~kind ~ekind ~src ~dst =
 (* --- envelope pool ------------------------------------------------------ *)
 
 let release_envelope t e =
-  e.e_msg <- None;
-  (* never retain a payload through the pool *)
+  (match t.filler with Some m -> e.e_msg <- m | None -> ());
   let cap = Array.length t.env_free in
   if t.env_free_len = cap then begin
     let cap' = if cap = 0 then 32 else 2 * cap in
@@ -239,8 +243,8 @@ let release_envelope t e =
 (* FIFO service queue: processing begins when the node is free.  Returns
    the instant the handler should run and pushes the node's horizon. *)
 let service_finish t dst =
-  let now = Engine.now t.engine in
-  let start = Stdlib.max now t.busy_until.(dst) in
+  let now = Engine.now t.engine and busy = t.busy_until.(dst) in
+  let start = if now >= busy then now else busy in
   let finish = start +. t.service_time in
   t.busy_until.(dst) <- finish;
   finish
@@ -259,14 +263,14 @@ let fire_envelope t e =
     release_envelope t e;
     (* released first: the handler may send, reusing this record *)
     if not t.failed.(dst) then
-      match (t.handlers.(dst), msg) with
-      | Some handler, Some msg ->
+      match t.handlers.(dst) with
+      | Some handler ->
         if src <> dst && Obs.Tracer.enabled t.tracer then
           Obs.Tracer.emit8 t.tracer ~time:(Engine.now t.engine)
             ~kind:Obs.Sem.net_deliver ~node:dst ~txn:(-1) ~oid:(-1) ~a:src
             ~b:kind ~x:0.;
         handler ~src msg
-      | (Some _ | None), _ -> ()
+      | None -> ()
   end
 
 let acquire_envelope t ~kind ~src ~dst ~phase msg =
@@ -277,12 +281,13 @@ let acquire_envelope t ~kind ~src ~dst ~phase msg =
       t.env_free.(n)
     end
     else begin
+      if Option.is_none t.filler then t.filler <- Some msg;
       let rec e =
         {
           e_kind = 0;
           e_src = 0;
           e_dst = 0;
-          e_msg = None;
+          e_msg = msg;
           e_phase = 0;
           e_fire = (fun () -> fire_envelope t e);
         }
@@ -293,14 +298,14 @@ let acquire_envelope t ~kind ~src ~dst ~phase msg =
   e.e_kind <- kind;
   e.e_src <- src;
   e.e_dst <- dst;
-  e.e_msg <- Some msg;
+  e.e_msg <- msg;
   e.e_phase <- phase;
   e
 
 (* --- wave pool ---------------------------------------------------------- *)
 
 let release_wave t w =
-  w.w_msg <- None;
+  (match t.filler with Some m -> w.w_msg <- m | None -> ());
   w.w_len <- 0;
   w.w_pos <- 0;
   let cap = Array.length t.wave_free in
@@ -327,11 +332,8 @@ let fire_wave t w =
       w.w_fire;
   let last = next >= w.w_len in
   if not t.failed.(dst) then begin
-    match w.w_msg with
-    | Some msg ->
-      let e = acquire_envelope t ~kind:w.w_kind ~src:w.w_src ~dst ~phase:1 msg in
-      Engine.schedule_at t.engine ~time:(service_finish t dst) e.e_fire
-    | None -> ()
+    let e = acquire_envelope t ~kind:w.w_kind ~src:w.w_src ~dst ~phase:1 w.w_msg in
+    Engine.schedule_at t.engine ~time:(service_finish t dst) e.e_fire
   end;
   if last then release_wave t w
 
@@ -343,11 +345,12 @@ let acquire_wave t ~kind ~src msg =
       t.wave_free.(n)
     end
     else begin
+      if Option.is_none t.filler then t.filler <- Some msg;
       let rec w =
         {
           w_kind = 0;
           w_src = 0;
-          w_msg = None;
+          w_msg = msg;
           w_times = [||];
           w_seqs = [||];
           w_dsts = [||];
@@ -361,7 +364,7 @@ let acquire_wave t ~kind ~src msg =
   in
   w.w_kind <- kind;
   w.w_src <- src;
-  w.w_msg <- Some msg;
+  w.w_msg <- msg;
   w.w_len <- 0;
   w.w_pos <- 0;
   w
@@ -500,7 +503,8 @@ let multicast_batch t ?(kind = Kind.other) ~src ~dsts msg =
         (fun dst ->
           let staged = plan_send t ~kind ~src ~dst in
           for k = 0 to staged - 1 do
-            wave_push t w ~time:(now +. Stdlib.max 0. t.plan_delays.(k)) ~dst
+            let delay = t.plan_delays.(k) in
+            wave_push t w ~time:(now +. (if 0. >= delay then 0. else delay)) ~dst
           done)
         dsts;
       if w.w_len = 0 then release_wave t w

@@ -8,12 +8,13 @@
    evidence gathered under a superseded view from feeding quorum decisions
    in the current one.  Stale replies are dropped unconditionally: the
    caller's round times out and its retry re-stamps the current epoch.
-   A reply inherits its request's epoch context via [epoch_now] (the reply
+   A reply carries its request payload [req] so the receiver can look up
+   the request's epoch context, [epoch_of req], at receipt (the reply
    payload alone cannot name a shard).  Without [set_fencing] every epoch
    is 0 and the layer behaves exactly as before. *)
 type ('req, 'rep) envelope =
   | Request of { rid : int; payload : 'req; wants_reply : bool; epoch : int }
-  | Reply of { rid : int; payload : 'rep; epoch : int; epoch_now : unit -> int }
+  | Reply of { rid : int; payload : 'rep; epoch : int; req : 'req }
 
 type ('req, 'rep) pending = {
   mutable awaiting : int list;
@@ -24,6 +25,7 @@ type ('req, 'rep) pending = {
 
 type ('req, 'rep) t = {
   network : ('req, 'rep) envelope Network.t;
+  lane : Engine.lane; (* multicall timeouts: one fixed delay per caller *)
   servers : (src:int -> 'req -> 'rep option) option array;
   pending : (int, ('req, 'rep) pending) Hashtbl.t;
   mutable next_rid : int;
@@ -68,14 +70,13 @@ let handle_envelope t ~node ~src env =
         begin
           match server ~src payload with
           | Some rep when wants_reply ->
-            let epoch_now () = t.epoch_of payload in
             Network.send t.network ~kind:Network.Kind.reply ~src:node ~dst:src
-              (Reply { rid; payload = rep; epoch = epoch_now (); epoch_now })
+              (Reply { rid; payload = rep; epoch = t.epoch_of payload; req = payload })
           | Some _ | None -> ()
         end
     end
-  | Reply { rid; payload; epoch; epoch_now } ->
-    let cur = epoch_now () in
+  | Reply { rid; payload; epoch; req } ->
+    let cur = t.epoch_of req in
     if epoch < cur then begin
       (* Evidence from a superseded view: the pending round will time out
          and the caller's retry carries the current epoch. *)
@@ -101,6 +102,7 @@ let create ?(seed = 0) ?(retry_base = 0.) ?(retry_max = 0.) ~network () =
   let t =
     {
       network;
+      lane = Engine.lane (Network.engine network);
       servers = Array.make (Network.nodes network) None;
       pending = Hashtbl.create 64;
       next_rid = 0;
@@ -139,7 +141,7 @@ let multicall t ?kind ~src ~dsts ~timeout req ~on_done =
     Network.multicast_batch t.network ?kind ~src ~dsts
       (Request { rid; payload = req; wants_reply = true; epoch = t.epoch_of req });
     let engine = Network.engine t.network in
-    Engine.schedule engine ~delay:timeout (fun () ->
+    Engine.schedule_lane t.lane ~time:(Engine.now engine +. timeout) (fun () ->
         if not p.finished then begin
           p.finished <- true;
           Hashtbl.remove t.pending rid;

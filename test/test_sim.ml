@@ -36,6 +36,163 @@ let test_engine_nested_schedule () =
   Sim.Engine.run engine;
   Alcotest.(check (list (float 1e-9))) "nested times" [ 1.; 3. ] (List.rev !hits)
 
+(* One operation of the engine-ordering property.  Times are small
+   integers so ties across the heap and the lanes are common; negative
+   ones lie in the past and clamp to [now]. *)
+type engine_op =
+  | Delay of int (* schedule ~delay *)
+  | At of int (* schedule_at *)
+  | At_seq of int (* reserve_seq, then schedule_at_seq *)
+  | Lane of int * int (* schedule_lane on lane [i], at now + offset *)
+  | Step
+
+let engine_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, map (fun d -> Delay d) (int_range (-3) 12));
+        (2, map (fun d -> At d) (int_range (-3) 20));
+        (2, map (fun d -> At_seq d) (int_range (-3) 20));
+        (5, map2 (fun i d -> Lane (i, d)) (int_range 0 1) (int_range (-2) 12));
+        (4, return Step);
+      ])
+
+let show_engine_op = function
+  | Delay d -> Printf.sprintf "delay %d" d
+  | At d -> Printf.sprintf "at %d" d
+  | At_seq d -> Printf.sprintf "at_seq %d" d
+  | Lane (i, d) -> Printf.sprintf "lane%d +%d" i d
+  | Step -> "step"
+
+(* Drive the engine and a reference model — a list sorted by (time, seq)
+   — through the same mix; every dispatch must fire the model's least
+   entry at its time, and the queues must drain in the same order.  The
+   lanes see out-of-order appends (the heap fallback), equal-time ties
+   with heap entries, and past times. *)
+let engine_order_matches_sort =
+  QCheck.Test.make ~name:"engine order matches (time, seq) sort" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_engine_op ops))
+       QCheck.Gen.(list_size (int_range 0 80) engine_op_gen))
+    (fun ops ->
+      let engine = Sim.Engine.create () in
+      let lanes = [| Sim.Engine.lane engine; Sim.Engine.lane engine |] in
+      let fired = ref [] in
+      let model = ref [] and next_seq = ref 0 and next_id = ref 0 in
+      let add ~time ~seq =
+        let id = !next_id in
+        incr next_id;
+        let time = Float.max time (Sim.Engine.now engine) in
+        model := List.merge compare !model [ (time, seq, id) ];
+        fun () -> fired := (Sim.Engine.now engine, id) :: !fired
+      in
+      let claim () =
+        let seq = !next_seq in
+        incr next_seq;
+        seq
+      in
+      let expect_step () =
+        match !model with
+        | [] -> not (Sim.Engine.step engine)
+        | (time, _, id) :: rest ->
+          model := rest;
+          Sim.Engine.step engine && !fired <> [] && List.hd !fired = (time, id)
+      in
+      let ok =
+        List.for_all
+          (fun op ->
+            let now = Sim.Engine.now engine in
+            (match op with
+            | Delay d ->
+              let delay = Float.of_int d in
+              Sim.Engine.schedule engine ~delay
+                (add ~time:(now +. Float.max 0. delay) ~seq:(claim ()))
+            | At d ->
+              let time = Float.of_int d in
+              Sim.Engine.schedule_at engine ~time (add ~time ~seq:(claim ()))
+            | At_seq d ->
+              let time = Float.of_int d in
+              let seq = Sim.Engine.reserve_seq engine in
+              if seq <> claim () then QCheck.Test.fail_report "seq mismatch";
+              Sim.Engine.schedule_at_seq engine ~time ~seq (add ~time ~seq)
+            | Lane (i, d) ->
+              let time = now +. Float.of_int d in
+              Sim.Engine.schedule_lane lanes.(i) ~time (add ~time ~seq:(claim ()))
+            | Step -> ());
+            (match op with Step -> expect_step () | _ -> true)
+            && Sim.Engine.pending engine = List.length !model)
+          ops
+      in
+      let rest = List.map (fun (time, _, id) -> (time, id)) !model in
+      fired := [];
+      Sim.Engine.run engine;
+      ok && List.rev !fired = rest && Sim.Engine.pending engine = 0)
+
+let test_engine_lane_pending () =
+  let engine = Sim.Engine.create () in
+  let lane = Sim.Engine.lane engine in
+  let nop () = () in
+  Sim.Engine.schedule_lane lane ~time:10. nop;
+  Sim.Engine.schedule_lane lane ~time:20. nop;
+  Sim.Engine.schedule_lane lane ~time:15. nop; (* out of order: heap *)
+  Sim.Engine.schedule engine ~delay:5. nop;
+  Alcotest.(check int) "lane and heap entries" 4 (Sim.Engine.pending engine);
+  ignore (Sim.Engine.step engine);
+  ignore (Sim.Engine.step engine);
+  Alcotest.(check (float 1e-9)) "lane head fired second" 10. (Sim.Engine.now engine);
+  Alcotest.(check int) "two left" 2 (Sim.Engine.pending engine);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "drained" 0 (Sim.Engine.pending engine);
+  Alcotest.(check int) "all fired" 4 (Sim.Engine.events_processed engine)
+
+let test_engine_until_lane () =
+  let engine = Sim.Engine.create () in
+  let lane = Sim.Engine.lane engine in
+  let fired = ref [] in
+  Sim.Engine.schedule_lane lane ~time:10. (fun () -> fired := 10 :: !fired);
+  Sim.Engine.schedule_lane lane ~time:30. (fun () -> fired := 30 :: !fired);
+  Sim.Engine.schedule engine ~delay:40. (fun () -> fired := 40 :: !fired);
+  Sim.Engine.run ~until:20. engine;
+  Alcotest.(check (list int)) "only the early lane entry" [ 10 ] !fired;
+  Alcotest.(check (float 1e-9)) "clock set to limit" 20. (Sim.Engine.now engine);
+  Alcotest.(check int) "two pending" 2 (Sim.Engine.pending engine);
+  Sim.Engine.run ~until:35. engine;
+  Alcotest.(check (list int)) "lane head within the limit" [ 30; 10 ] !fired;
+  Alcotest.(check (float 1e-9)) "clock at the new limit" 35. (Sim.Engine.now engine)
+
+(* Queue an action that is the only holder of a fresh block, and return a
+   weak pointer to the block. *)
+let[@inline never] schedule_watched schedule =
+  let cell = ref 0 in
+  let watch = Weak.create 1 in
+  Weak.set watch 0 (Some cell);
+  schedule (fun () -> incr cell);
+  watch
+
+(* A popped action must not stay reachable from the queue: not from the
+   slot it fired from, and not from a stale copy left behind when the
+   heap's last entry moved up. *)
+let test_engine_releases_actions () =
+  let engine = Sim.Engine.create () in
+  let lane = Sim.Engine.lane engine in
+  let nop () = () in
+  Sim.Engine.schedule engine ~delay:100. nop;
+  Sim.Engine.schedule engine ~delay:1. nop;
+  (* the heap's last entry when the one above pops *)
+  let moved = schedule_watched (Sim.Engine.schedule engine ~delay:2.) in
+  let laned = schedule_watched (Sim.Engine.schedule_lane lane ~time:3.) in
+  Sim.Engine.schedule_lane lane ~time:100. nop;
+  Sim.Engine.run ~until:50. engine;
+  let drained = Sim.Engine.create () in
+  let alone = schedule_watched (Sim.Engine.schedule_at drained ~time:1.) in
+  Sim.Engine.run drained;
+  Gc.full_major ();
+  List.iter
+    (fun (what, watch) ->
+      Alcotest.(check bool) (what ^ " action collected") false (Weak.check watch 0))
+    [ ("moved heap", moved); ("lane", laned); ("last heap", alone) ];
+  Alcotest.(check int) "later entries still queued" 2 (Sim.Engine.pending engine)
+
 let test_topology_mean_latency () =
   let topology = Sim.Topology.create ~seed:1 ~mean_latency:15. ~nodes:20 () in
   let mean = Sim.Topology.mean_remote_latency topology in
@@ -407,6 +564,9 @@ let suite =
     Alcotest.test_case "engine event ordering" `Quick test_engine_ordering;
     Alcotest.test_case "engine run ~until" `Quick test_engine_until;
     Alcotest.test_case "engine nested scheduling" `Quick test_engine_nested_schedule;
+    Alcotest.test_case "engine pending counts lanes" `Quick test_engine_lane_pending;
+    Alcotest.test_case "engine run ~until at lane head" `Quick test_engine_until_lane;
+    Alcotest.test_case "engine drops fired actions" `Quick test_engine_releases_actions;
     Alcotest.test_case "topology mean latency" `Quick test_topology_mean_latency;
     Alcotest.test_case "topology uniform" `Quick test_uniform_topology;
     Alcotest.test_case "network delivery and counting" `Quick test_network_delivery_and_counting;
@@ -432,4 +592,5 @@ let suite =
       test_failure_recovery_before_detection;
     Alcotest.test_case "false suspicion" `Quick test_false_suspicion;
     Alcotest.test_case "detection jitter" `Quick test_detection_jitter;
+    QCheck_alcotest.to_alcotest engine_order_matches_sort;
   ]
