@@ -84,6 +84,29 @@ let ensure_dir sharding ~oid =
     sharding.dir_len <- oid + 1
   end
 
+(* Per-shard quorum accessor, salted by [node].  Memoisation lives in
+   [Tree_quorum] (generation-keyed, per salt), so this is a plain
+   delegation; an unconstructible quorum degrades to [[]], as do all
+   quorums while a reconfiguration has the shard wedged — callers treat an
+   empty quorum as "retry politely". *)
+let shard_quorum sharding ~shard ~node ~write =
+  let st = sharding.states.(shard) in
+  if !(st.sh_wedged) then []
+  else
+    Option.value ~default:[]
+      (if write then Quorum.Tree_quorum.write_quorum ~salt:node st.sh_tq
+       else Quorum.Tree_quorum.read_quorum ~salt:node st.sh_tq)
+
+(* Read ∪ write quorum of [tq] salted by [salt], sorted ascending, wedge or
+   not.  Catch-up and termination rounds query it: commits decided just
+   before the round may still have Applies in flight, and the wider set
+   maximises the chance of hitting a member that already installed them. *)
+let quorum_union tq ~salt =
+  let of_opt q = Option.value ~default:[] q in
+  List.sort_uniq Int.compare
+    (of_opt (Quorum.Tree_quorum.read_quorum ~salt tq)
+    @ of_opt (Quorum.Tree_quorum.write_quorum ~salt tq))
+
 (* The shard whose epoch fences a request, keyed on the payload: the owner
    of the first object the message names.  Keyed on the payload — not the
    receiving node — so sender stamp and receiver fence always evaluate the
@@ -119,20 +142,13 @@ let shard_members t ~shard =
 let shard_epoch t ~shard = !(t.sharding.states.(shard).sh_epoch)
 let home_shard_of t ~node = t.sharding.home.(node)
 
-(* Memoisation lives in [Tree_quorum] (generation-keyed, per salt), so these
-   are plain delegations; an unconstructible quorum degrades to [[]], as do
-   all quorums while a reconfiguration has the shard wedged — callers
-   treat an empty quorum as "retry politely".  The per-node accessors serve
-   the node's {e home} shard (the objects it replicates). *)
+(* The per-node accessors serve the node's {e home} shard (the objects it
+   replicates). *)
 let read_quorum_of t ~node =
-  let st = t.sharding.states.(t.sharding.home.(node)) in
-  if !(st.sh_wedged) then []
-  else Option.value ~default:[] (Quorum.Tree_quorum.read_quorum ~salt:node st.sh_tq)
+  shard_quorum t.sharding ~shard:t.sharding.home.(node) ~node ~write:false
 
 let write_quorum_of t ~node =
-  let st = t.sharding.states.(t.sharding.home.(node)) in
-  if !(st.sh_wedged) then []
-  else Option.value ~default:[] (Quorum.Tree_quorum.write_quorum ~salt:node st.sh_tq)
+  shard_quorum t.sharding ~shard:t.sharding.home.(node) ~node ~write:true
 
 let nodes t = Array.length t.servers
 
@@ -179,17 +195,8 @@ let readmit t node =
    and write-quorum members that are ahead vote the commit down
    forever). *)
 let rec resync t ~node ~started ~was_killed =
-  (* Read ∪ write quorum, like the status peer set: commits decided just
-     before this sync may still have Applies in flight, and the wider set
-     maximises the chance of hitting a member that already installed
-     them. *)
   let tq = t.sharding.states.(t.sharding.home.(node)).sh_tq in
-  let quorum =
-    let of_opt q = Option.value ~default:[] q in
-    List.sort_uniq Int.compare
-      (of_opt (Quorum.Tree_quorum.read_quorum ~salt:node tq)
-      @ of_opt (Quorum.Tree_quorum.write_quorum ~salt:node tq))
-  in
+  let quorum = quorum_union tq ~salt:node in
   let retry () =
     Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
         resync t ~node ~started ~was_killed)
@@ -356,19 +363,8 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
   let quorums =
     {
       Executor.read_quorum =
-        (fun ~shard ~node ->
-          let st = sharding.states.(shard) in
-          if !(st.sh_wedged) then []
-          else
-            Option.value ~default:[]
-              (Quorum.Tree_quorum.read_quorum ~salt:node st.sh_tq));
-      write_quorum =
-        (fun ~shard ~node ->
-          let st = sharding.states.(shard) in
-          if !(st.sh_wedged) then []
-          else
-            Option.value ~default:[]
-              (Quorum.Tree_quorum.write_quorum ~salt:node st.sh_tq));
+        (fun ~shard ~node -> shard_quorum sharding ~shard ~node ~write:false);
+      write_quorum = (fun ~shard ~node -> shard_quorum sharding ~shard ~node ~write:true);
       node_alive = (fun node -> not (Sim.Network.is_failed network node));
       epoch = (fun ~shard -> !(sharding.states.(shard).sh_epoch));
       shard_of = (fun oid -> shard_of_oid_s sharding oid);
@@ -398,12 +394,7 @@ let create ?(nodes = 13) ?(spares = 0) ?(seed = 1) ?topology ?(service_time = 0.
         ~status_peers:(fun () ->
           let node = Server.node server in
           let st = sharding.states.(sharding.home.(node)) in
-          if !(st.sh_wedged) then []
-          else
-            let of_opt q = Option.value ~default:[] q in
-            List.sort_uniq Int.compare
-              (of_opt (Quorum.Tree_quorum.read_quorum ~salt:node st.sh_tq)
-              @ of_opt (Quorum.Tree_quorum.write_quorum ~salt:node st.sh_tq)))
+          if !(st.sh_wedged) then [] else quorum_union st.sh_tq ~salt:node)
         ~metrics ~config)
     servers;
   let failure =
@@ -631,18 +622,12 @@ and launch_reconfig t st op ~on_done =
       (fun () -> snapshot_phase t st op ~on_done)
   end
 
-(* Pull the committed state through the outgoing view's quorums.  The
-   union read ∪ write quorum mirrors [resync]: commits decided just before
-   the wedge may still have Applies in flight, and the wider set maximises
-   the chance of including a member that already installed them. *)
+(* Pull the committed state through the outgoing view's [quorum_union]:
+   commits decided just before the wedge may still have Applies in
+   flight. *)
 and snapshot_phase t st op ~on_done =
   let src = reconfig_subject op in
-  let quorum =
-    let of_opt q = Option.value ~default:[] q in
-    List.sort_uniq Int.compare
-      (of_opt (Quorum.Tree_quorum.read_quorum ~salt:src st.sh_tq)
-      @ of_opt (Quorum.Tree_quorum.write_quorum ~salt:src st.sh_tq))
-  in
+  let quorum = quorum_union st.sh_tq ~salt:src in
   let retry () =
     Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
         snapshot_phase t st op ~on_done)
@@ -893,12 +878,7 @@ and shard_snapshot_phase t op ~involved ~on_done =
   let src_shard = shard_op_source t op in
   let st = t.sharding.states.(src_shard) in
   let salt = List.hd (Quorum.Tree_quorum.members st.sh_tq) in
-  let quorum =
-    let of_opt q = Option.value ~default:[] q in
-    List.sort_uniq Int.compare
-      (of_opt (Quorum.Tree_quorum.read_quorum ~salt st.sh_tq)
-      @ of_opt (Quorum.Tree_quorum.write_quorum ~salt st.sh_tq))
-  in
+  let quorum = quorum_union st.sh_tq ~salt in
   let retry () =
     Sim.Engine.schedule t.engine ~delay:t.config.Config.request_timeout (fun () ->
         shard_snapshot_phase t op ~involved ~on_done)

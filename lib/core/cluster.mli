@@ -23,10 +23,10 @@
     {b The object space can be sharded}: with [~shards:k], the machines are
     partitioned into [k] disjoint shards, each with its own member view,
     epoch, quorum tree and reconfiguration queue; a shard directory maps
-    every object to its owning shard.  Transactions touching one shard run
-    today's one-round commit; transactions spanning shards commit through
-    a presumed-abort two-phase protocol across the participant shards'
-    write quorums (PROTOCOL.md §10).  {!move_object_at} and
+    every object to its owning shard.  Every sequential commit is a
+    presumed-abort two-phase protocol across the participant shards'
+    write quorums (PROTOCOL.md §10); with one participant shard it is the
+    one-round commit.  {!move_object_at} and
     {!split_shard_at} reshape the directory mid-run.  With the default
     [~shards:1] everything below behaves — byte-identically — as the
     unsharded cluster. *)

@@ -165,6 +165,35 @@ and batchq = {
   mutable bq_prev_commits : Ids.txn_id list;
 }
 
+(* One participant shard of a commit round: its write quorum and the rows
+   and locks of the commit it hosts. *)
+type participant = {
+  pt_shard : int;
+  pt_quorum : int list;
+  pt_dataset : Messages.dataset;
+  pt_locks : Ids.obj_id list;
+  mutable pt_epoch : int; (* the shard's epoch when its prepare was sent *)
+}
+
+(* One sequential commit round: the presumed-abort 2PC over [cr_parts],
+   ascending by shard and prepared one at a time.  With one participant it
+   is the paper's one-round commit: the prepare is the request-commit to
+   the write quorum, the decision its Apply. *)
+type commit_round = {
+  cr_root : root;
+  cr_scope : scope;
+  cr_value : Txn.value;
+  cr_parts : participant list;
+  mutable cr_todo : participant list; (* not yet sent a prepare *)
+  cr_generation : int;
+  cr_window_start : float;
+}
+
+(* One entry's votes in a commit round, folded over the voters' replies. *)
+type verdict =
+  | All_commit
+  | Vetoed of { lock_conflict : bool; stale_witnesses : int list }
+
 let create ~engine ~rpc ~quorums ~config ~metrics ?oracle ?(batch_commit = false)
     ~ids ~seed () =
   {
@@ -310,14 +339,18 @@ let full_dataset root =
 
 (* Commit-request data-set: the flat union of the final scope's sets with
    the write set winning on collision — what [Rwset.merge_into ~child:wset
-   ~parent:rset] used to build, without materialising the merged map. *)
-let commit_dataset exec ~(scope_rset : Rwset.t) ~(scope_wset : Rwset.t) =
-  exec.ds_len <- 0;
+   ~parent:rset] used to build, without materialising the merged map.
+   Staging appends, so a batch round stages its entries back to back. *)
+let stage_commit_rows exec ~(scope_rset : Rwset.t) ~(scope_wset : Rwset.t) =
   Rwset.iter scope_wset (fun (e : Rwset.entry) ->
       ignore (ds_push exec ~oid:e.oid ~version:e.version ~owner:e.owner));
   Rwset.iter scope_rset (fun (e : Rwset.entry) ->
       if not (Rwset.mem scope_wset e.oid) then
-        ignore (ds_push exec ~oid:e.oid ~version:e.version ~owner:e.owner));
+        ignore (ds_push exec ~oid:e.oid ~version:e.version ~owner:e.owner))
+
+let commit_dataset exec ~scope_rset ~scope_wset =
+  exec.ds_len <- 0;
+  stage_commit_rows exec ~scope_rset ~scope_wset;
   ds_freeze exec
 
 (* The participant shards of a commit: every shard owning an object in the
@@ -333,9 +366,17 @@ let commit_shards exec ~(scope_rset : Rwset.t) ~(scope_wset : Rwset.t) =
   Rwset.iter scope_rset note;
   match List.sort Int.compare !acc with [] -> [ 0 ] | shards -> shards
 
-(* Per-shard slice of a frozen commit data-set: only the rows a shard hosts
-   are sent to (and validated by) its quorum.  Returns the original array
-   set when every row already belongs to [shard]. *)
+(* Per-shard slices of a commit: only the rows a shard hosts are sent to
+   (and validated by) its quorum, and only its objects are locked there.
+   Each returns its input when every row already belongs to [shard]. *)
+let rec all_on_shard exec ~shard = function
+  | [] -> true
+  | oid :: rest -> exec.quorums.shard_of oid = shard && all_on_shard exec ~shard rest
+
+let lock_slice exec locks ~shard =
+  if all_on_shard exec ~shard locks then locks
+  else List.filter (fun oid -> exec.quorums.shard_of oid = shard) locks
+
 let dataset_slice exec (full : Messages.dataset) ~shard =
   let n = Array.length full.Messages.ds_oids in
   let keep = ref 0 in
@@ -414,6 +455,53 @@ let widen_to_witnesses root stale_witnesses =
     root.extra_read_peers <-
       List.sort_uniq Int.compare (stale_witnesses @ root.extra_read_peers)
   end
+
+(* The coordinator's lease horizon for locks requested at [sent_at]:
+   replicas stamp leases at receipt, later than the send, so deciding
+   commit before it guarantees no replica has presumed-abort'd the locks
+   yet. *)
+let lease_horizon exec ~sent_at ~locks =
+  if exec.config.lease_duration > 0. && locks <> [] then
+    sent_at +. exec.config.lease_duration -. exec.config.lease_safety_margin
+  else Float.infinity
+
+let note_deadline_abort root =
+  Metrics.note_commit_deadline_abort root.exec.metrics;
+  trace root ~kind:Obs.Sem.deadline_abort ~oid:(-1) ~a:(-1) ~b:(-1) ~x:root.lock_deadline
+
+(* The one vote parser, for sequential votes and batch entry [entry] alike:
+   bit 0 is commit, bit 1 lock conflict, [-1] not a vote. *)
+let vote_bits reply ~entry =
+  match reply with
+  | Messages.Vote { commit; lock_conflict } ->
+    (if commit then 1 else 0) lor if lock_conflict then 2 else 0
+  | Messages.Batch_commit_rep { commits; conflicts } ->
+    (if commits.(entry) then 1 else 0) lor if conflicts.(entry) then 2 else 0
+  | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Sync_rep _
+  | Messages.Status_rep _ | Messages.Ack ->
+    -1
+
+(* Tally one entry's votes, tracing each.  A reply that is not a vote
+   vetoes; a veto without lock conflict witnesses a version the read quorum
+   missed (see [extra_read_peers]). *)
+let rec tally root ~entry ~all ~conflict ~witnesses = function
+  | [] ->
+    if all then All_commit
+    else Vetoed { lock_conflict = conflict; stale_witnesses = witnesses }
+  | (voter, reply) :: rest ->
+    let v = vote_bits reply ~entry in
+    if v < 0 then tally root ~entry ~all:false ~conflict ~witnesses rest
+    else begin
+      trace root ~kind:Obs.Sem.vote_recv ~oid:(-1) ~a:voter ~b:v ~x:0.;
+      tally root ~entry
+        ~all:(all && v land 1 <> 0)
+        ~conflict:(conflict || v land 2 <> 0)
+        ~witnesses:(if v = 0 then voter :: witnesses else witnesses)
+        rest
+    end
+
+let tally_votes root ~entry replies =
+  tally root ~entry ~all:true ~conflict:false ~witnesses:[] replies
 
 (* Apply payload of a committing scope: each written object advances one
    version past the base the transaction read. *)
@@ -498,6 +586,12 @@ let record_spec_outcome exec ~txn ~committed =
   Queue.push txn exec.spec_outcome_order;
   if Queue.length exec.spec_outcome_order > spec_outcome_cap then
     Hashtbl.remove exec.spec_outcomes (Queue.pop exec.spec_outcome_order)
+
+(* A queue entry that will not commit: record the outcome, so speculative
+   readers of its images fail fast, and drop the images. *)
+let abandon exec p =
+  record_spec_outcome exec ~txn:p.p_txn ~committed:false;
+  drop_images exec ~txn:p.p_txn ~wset:p.p_scope.wset
 
 (* Resolve a root's speculative dependencies.  [`Undecided] covers both a
    predecessor still waiting on a batch round (an order violation if we are
@@ -923,15 +1017,15 @@ and root_commit root ~scope ~value =
     | (`Ok | `Undecided _) as status -> (
       match commit_shards exec ~scope_rset:scope.rset ~scope_wset:scope.wset with
       | [ shard ] -> enqueue_commit root ~scope ~value ~shard
-      | shards -> (
+      | _ -> (
         (* A cross-shard commit bypasses the (single-shard) batch queues
-           and runs the sharded 2PC directly; speculative dependencies
+           and runs the 2PC directly; speculative dependencies
            still queued must decide before it can — wait them out. *)
         match status with
         | `Undecided _ ->
           schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay)
             (fun () -> root_commit root ~scope ~value)
-        | `Ok -> send_commit_sharded root ~scope ~value ~shards))
+        | `Ok -> send_commit_request root ~scope ~value))
   end
 
 and commit_read_only root ~scope ~value =
@@ -949,60 +1043,33 @@ and speculation_abort root ~dep =
   trace root ~kind:Obs.Sem.spec_abort ~oid:(-1) ~a:dep ~b:(-1) ~x:0.;
   root_abort root
 
+(* The sequential commit: one presumed-abort 2PC over the participant
+   shards (PROTOCOL.md §10).  Participants are prepared one at a time in
+   ascending shard order, each round locking and validating only the rows
+   its shard hosts; a veto, a missing voter or an epoch change on any
+   shard releases every contacted shard and retries (or aborts) the whole
+   transaction — no shard applies until all have voted commit.  Each
+   Commit_req pins [peers], the other participants' quorum members, so
+   replica-side lease termination can pull commit evidence across shards
+   before presuming abort.  A one-shard commit is the one-participant
+   case: one request-commit round, then Apply. *)
 and send_commit_request root ~scope ~value =
-  match commit_shards root.exec ~scope_rset:scope.rset ~scope_wset:scope.wset with
-  | [ shard ] -> send_commit_single root ~scope ~value ~shard
-  | shards -> send_commit_sharded root ~scope ~value ~shards
-
-and send_commit_single root ~scope ~value ~shard =
   let exec = root.exec in
-  let quorum = exec.quorums.write_quorum ~shard ~node:root.node in
-  match quorum with
-  | [] ->
-    Metrics.note_quorum_retry exec.metrics;
-    schedule root ~delay:(jittered exec.rng exec.config.request_timeout) (fun () ->
-        send_commit_request root ~scope ~value)
-  | _ ->
-    let dataset =
-      commit_dataset exec ~scope_rset:scope.rset ~scope_wset:scope.wset
-    in
-    let locks = Rwset.oids scope.wset in
-    trace root ~kind:Obs.Sem.commit_send ~oid:(-1) ~a:(List.length locks)
-      ~b:(List.length quorum) ~x:(Float.of_int shard);
-    let window_start = now root in
-    (* Conservative lease horizon: leases are stamped at replica receipt
-       (later than this send), so deciding commit before [lock_deadline]
-       guarantees no replica has presumed-abort'd the locks yet. *)
-    root.lock_deadline <-
-      (if exec.config.lease_duration > 0. && locks <> [] then
-         window_start +. exec.config.lease_duration -. exec.config.lease_safety_margin
-       else Float.infinity);
-    let generation = root.generation in
-    let send_epoch = exec.quorums.epoch ~shard in
-    root.commit_round <- root.commit_round + 1;
-    Sim.Rpc.multicall exec.rpc ~kind:Messages.commit_req_kind ~src:root.node ~dsts:quorum
-      ~timeout:exec.config.request_timeout
-      (Messages.Commit_req
-         { txn = root.txn_id; dataset; locks; round = root.commit_round; peers = [] })
-      ~on_done:(fun ~replies ~missing ->
-        if still_current root generation then
-          handle_votes root ~scope ~value ~shard ~quorum ~window_start ~send_epoch
-            ~replies ~missing)
-
-(* Cross-shard presumed-abort 2PC (PROTOCOL.md §10).  Participant shards
-   are prepared sequentially in ascending shard order, each round locking
-   and validating only the rows that shard hosts; a veto, a missing voter
-   or an epoch change on any shard releases every contacted shard and
-   retries (or aborts) the whole transaction — no shard applies until all
-   have voted commit.  Each shard's Commit_req pins [peers], the other
-   participants' quorum members, so replica-side lease termination can pull
-   commit evidence across shards before presuming abort. *)
-and send_commit_sharded root ~scope ~value ~shards =
-  let exec = root.exec in
-  let quorums =
-    List.map (fun s -> (s, exec.quorums.write_quorum ~shard:s ~node:root.node)) shards
+  let full = commit_dataset exec ~scope_rset:scope.rset ~scope_wset:scope.wset in
+  let locks = Rwset.oids scope.wset in
+  let parts =
+    List.map
+      (fun shard ->
+        {
+          pt_shard = shard;
+          pt_quorum = exec.quorums.write_quorum ~shard ~node:root.node;
+          pt_dataset = dataset_slice exec full ~shard;
+          pt_locks = lock_slice exec locks ~shard;
+          pt_epoch = 0;
+        })
+      (commit_shards exec ~scope_rset:scope.rset ~scope_wset:scope.wset)
   in
-  if List.exists (fun (_, q) -> q = []) quorums then begin
+  if List.exists (fun p -> p.pt_quorum = []) parts then begin
     (* some participant shard has no constructible write quorum right now
        (wedged mid-reconfiguration / too many failures) *)
     Metrics.note_quorum_retry exec.metrics;
@@ -1010,179 +1077,172 @@ and send_commit_sharded root ~scope ~value ~shards =
         send_commit_request root ~scope ~value)
   end
   else begin
-    let full = commit_dataset exec ~scope_rset:scope.rset ~scope_wset:scope.wset in
-    let locks = Rwset.oids scope.wset in
-    let nshards = List.length shards in
-    let parts =
-      List.map
-        (fun (s, quorum) ->
-          ( s,
-            quorum,
-            dataset_slice exec full ~shard:s,
-            List.filter (fun oid -> exec.quorums.shard_of oid = s) locks ))
-        quorums
-    in
     let window_start = now root in
-    (* One lease horizon for the whole 2PC, anchored at the first send:
-       every shard's leases are stamped at replica receipt, later than
-       this, so a decision before the horizon beats every presumed abort. *)
-    root.lock_deadline <-
-      (if exec.config.lease_duration > 0. && locks <> [] then
-         window_start +. exec.config.lease_duration -. exec.config.lease_safety_margin
-       else Float.infinity);
+    (* One lease horizon for the whole round, anchored at the first send. *)
+    root.lock_deadline <- lease_horizon exec ~sent_at:window_start ~locks;
     root.commit_round <- root.commit_round + 1;
-    let generation = root.generation in
-    let release_parts ps =
-      List.iter
-        (fun (_, quorum, _, lslice) -> release_locks root ~quorum ~locks:lslice)
-        ps
-    in
-    let retry () =
-      Metrics.note_quorum_retry exec.metrics;
-      schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay) (fun () ->
-          send_commit_request root ~scope ~value)
-    in
-    let abort_2pc () =
-      Metrics.note_cross_shard_abort exec.metrics;
-      trace root ~kind:Obs.Sem.xshard_decide ~oid:(-1) ~a:0 ~b:nshards ~x:0.;
-      root_abort root
-    in
-    let rec prepare prepared todo =
-      match todo with
-      | [] -> decide (List.rev prepared)
-      | ((s, quorum, slice, lslice) as part) :: rest ->
-        let peers =
-          List.sort_uniq Int.compare
-            (List.concat_map (fun (s', q, _, _) -> if s' = s then [] else q) parts)
-        in
-        trace root ~kind:Obs.Sem.xshard_prepare ~oid:(-1) ~a:s ~b:nshards ~x:0.;
-        trace root ~kind:Obs.Sem.commit_send ~oid:(-1) ~a:(List.length lslice)
-          ~b:(List.length quorum) ~x:(Float.of_int s);
-        let send_epoch = exec.quorums.epoch ~shard:s in
-        Sim.Rpc.multicall exec.rpc ~kind:Messages.commit_req_kind ~src:root.node
-          ~dsts:quorum ~timeout:exec.config.request_timeout
-          (Messages.Commit_req
-             {
-               txn = root.txn_id;
-               dataset = slice;
-               locks = lslice;
-               round = root.commit_round;
-               peers;
-             })
-          ~on_done:(fun ~replies ~missing ->
-            if still_current root generation then begin
-              if Obs.Tracer.enabled exec.tracer then
-                List.iter
-                  (fun (voter, reply) ->
-                    match reply with
-                    | Messages.Vote { commit; lock_conflict } ->
-                      trace root ~kind:Obs.Sem.vote_recv ~oid:(-1) ~a:voter
-                        ~b:
-                          ((if commit then 1 else 0)
-                          lor if lock_conflict then 2 else 0)
-                        ~x:0.
-                    | Messages.Read_ok _ | Messages.Read_abort _
-                    | Messages.Sync_rep _ | Messages.Status_rep _ | Messages.Ack
-                    | Messages.Batch_commit_rep _ ->
-                      ())
-                  replies;
-              let contacted = part :: List.map fst prepared in
-              if missing <> [] || exec.quorums.epoch ~shard:s <> send_epoch then begin
-                release_parts contacted;
-                retry ()
-              end
-              else begin
-                let all_commit, any_lock_conflict =
-                  List.fold_left
-                    (fun (all, lock) (_, reply) ->
-                      match reply with
-                      | Messages.Vote { commit; lock_conflict } ->
-                        (all && commit, lock || lock_conflict)
-                      | Messages.Read_ok _ | Messages.Read_abort _
-                      | Messages.Sync_rep _ | Messages.Status_rep _
-                      | Messages.Ack | Messages.Batch_commit_rep _ ->
-                        (false, lock))
-                    (true, false) replies
-                in
-                if all_commit then prepare ((part, send_epoch) :: prepared) rest
-                else begin
-                  release_parts contacted;
-                  let stale_witnesses =
-                    List.filter_map
-                      (fun (n, reply) ->
-                        match reply with
-                        | Messages.Vote { commit = false; lock_conflict = false }
-                          ->
-                          Some n
-                        | Messages.Vote _ | Messages.Read_ok _
-                        | Messages.Read_abort _ | Messages.Sync_rep _
-                        | Messages.Status_rep _ | Messages.Ack
-                        | Messages.Batch_commit_rep _ ->
-                          None)
-                      replies
-                  in
-                  widen_to_witnesses root stale_witnesses;
-                  if any_lock_conflict && root.commit_lock_budget > 0 then begin
-                    root.commit_lock_budget <- root.commit_lock_budget - 1;
-                    schedule root
-                      ~delay:(jittered exec.rng exec.config.ct_retry_delay)
-                      (fun () -> send_commit_request root ~scope ~value)
-                  end
-                  else abort_2pc ()
-                end
-              end
-            end)
-    and decide prepared =
-      if
-        List.exists
-          (fun ((s, _, _, _), e) -> exec.quorums.epoch ~shard:s <> e)
-          prepared
-      then begin
-        (* A shard reconfigured after voting: its locked quorum need not
-           intersect the new view's quorums — walk away and retry. *)
-        release_parts (List.map fst prepared);
-        retry ()
-      end
-      else if now root > root.lock_deadline then begin
-        (* Votes complete but past the coordinator's lease horizon: some
-           participant may already be presuming abort. *)
-        Metrics.note_commit_deadline_abort exec.metrics;
-        trace root ~kind:Obs.Sem.deadline_abort ~oid:(-1) ~a:(-1) ~b:(-1)
-          ~x:root.lock_deadline;
-        release_parts (List.map fst prepared);
-        abort_2pc ()
-      end
-      else begin
-        let writes = writes_of_wset scope.wset in
-        let reads = reads_of_rset scope.rset in
-        record_commit root ~scope ~window_start;
-        (* The FULL write set goes to every participant quorum: each shard
-           installs its own rows and retains the foreign ones as commit
-           evidence, so cross-shard lease termination can rescue the
-           decision from any surviving participant. *)
-        let dsts =
-          List.sort_uniq Int.compare
-            (List.concat_map (fun ((_, quorum, _, _), _) -> quorum) prepared)
-        in
-        Sim.Rpc.acked_multicast exec.rpc ~kind:Messages.apply_kind ~src:root.node
-          ~dsts ~timeout:exec.config.request_timeout
-          (Messages.Apply { txn = root.txn_id; writes; reads });
-        if exec.batch_commit then begin
-          (* Keep the speculation machinery coherent: successors may have
-             read this root's inputs from committed images. *)
-          record_spec_outcome exec ~txn:root.txn_id ~committed:true;
-          refresh_committed_images exec ~txn:root.txn_id ~wset:scope.wset
-        end;
-        Metrics.note_commit exec.metrics ~latency:(now root -. root.born);
-        Metrics.note_cross_shard_commit exec.metrics;
-        trace root ~kind:Obs.Sem.xshard_decide ~oid:(-1) ~a:1 ~b:nshards ~x:0.;
-        trace root ~kind:Obs.Sem.txn_commit ~oid:(-1) ~a:(-1) ~b:0
-          ~x:(now root -. root.born);
-        finish root (Committed value)
-      end
-    in
-    prepare [] parts
+    prepare_next
+      {
+        cr_root = root;
+        cr_scope = scope;
+        cr_value = value;
+        cr_parts = parts;
+        cr_todo = parts;
+        cr_generation = root.generation;
+        cr_window_start = window_start;
+      }
   end
+
+(* Cross-shard bookkeeping (xshard traces, cross-shard counters) is for
+   rounds of two or more participants only. *)
+and cross_shard r = match r.cr_parts with [ _ ] -> false | _ -> true
+
+and prepare_next r =
+  match r.cr_todo with
+  | [] -> decide_round r
+  | p :: rest ->
+    let root = r.cr_root in
+    let exec = root.exec in
+    r.cr_todo <- rest;
+    let peers =
+      if cross_shard r then begin
+        trace root ~kind:Obs.Sem.xshard_prepare ~oid:(-1) ~a:p.pt_shard
+          ~b:(List.length r.cr_parts) ~x:0.;
+        List.sort_uniq Int.compare
+          (List.concat_map (fun q -> if q == p then [] else q.pt_quorum) r.cr_parts)
+      end
+      else []
+    in
+    trace root ~kind:Obs.Sem.commit_send ~oid:(-1) ~a:(List.length p.pt_locks)
+      ~b:(List.length p.pt_quorum) ~x:(Float.of_int p.pt_shard);
+    p.pt_epoch <- exec.quorums.epoch ~shard:p.pt_shard;
+    Sim.Rpc.multicall exec.rpc ~kind:Messages.commit_req_kind ~src:root.node
+      ~dsts:p.pt_quorum ~timeout:exec.config.request_timeout
+      (Messages.Commit_req
+         {
+           txn = root.txn_id;
+           dataset = p.pt_dataset;
+           locks = p.pt_locks;
+           round = root.commit_round;
+           peers;
+         })
+      ~on_done:(fun ~replies ~missing -> prepare_votes r p ~replies ~missing)
+
+and prepare_votes r p ~replies ~missing =
+  let root = r.cr_root in
+  let exec = root.exec in
+  if still_current root r.cr_generation then begin
+    let verdict = tally_votes root ~entry:0 replies in
+    if missing <> [] || exec.quorums.epoch ~shard:p.pt_shard <> p.pt_epoch then begin
+      (* A write-quorum member failed mid-2PC, or a reconfiguration
+         installed a new view while the votes were in flight (the
+         answering quorum need not intersect current-view quorums):
+         release whatever was locked and retry against refreshed quorums. *)
+      release_contacted r ~upto:p;
+      retry_round r
+    end
+    else
+      match verdict with
+      | All_commit -> prepare_next r
+      | Vetoed { lock_conflict; stale_witnesses } ->
+        release_contacted r ~upto:p;
+        widen_to_witnesses root stale_witnesses;
+        if lock_conflict && root.commit_lock_budget > 0 then begin
+          (* Ablation knob: a lock conflict may resolve as soon as the
+             holder finishes its 2PC; optionally retry before aborting. *)
+          root.commit_lock_budget <- root.commit_lock_budget - 1;
+          resend_round r
+        end
+        else abort_round r
+  end
+
+and decide_round r =
+  let root = r.cr_root in
+  let exec = root.exec in
+  let scope = r.cr_scope in
+  if epoch_moved exec r.cr_parts then begin
+    (* A shard reconfigured after voting: its locked quorum need not
+       intersect the new view's quorums — walk away and retry. *)
+    List.iter (release_part root) r.cr_parts;
+    retry_round r
+  end
+  else if now root > root.lock_deadline then begin
+    (* The votes arrived past the coordinator's lease horizon: replicas
+       may already be presuming abort, so committing now could race a
+       conflicting writer.  Walk away — Release is harmless whether or not
+       the leases already fell. *)
+    note_deadline_abort root;
+    List.iter (release_part root) r.cr_parts;
+    abort_round r
+  end
+  else begin
+    let writes = writes_of_wset scope.wset in
+    let reads = reads_of_rset scope.rset in
+    record_commit root ~scope ~window_start:r.cr_window_start;
+    (* At-least-once: losing an Apply at the read/write-quorum intersection
+       node would let later reads miss this commit; Apply is version-guarded
+       (idempotent), so retransmission is safe.  The FULL write set goes to
+       every participant quorum: each shard installs its own rows and
+       retains the foreign ones as commit evidence, so cross-shard lease
+       termination can rescue the decision from any surviving participant. *)
+    let dsts =
+      match r.cr_parts with
+      | [ p ] -> p.pt_quorum
+      | parts -> List.sort_uniq Int.compare (List.concat_map (fun p -> p.pt_quorum) parts)
+    in
+    Sim.Rpc.acked_multicast exec.rpc ~kind:Messages.apply_kind ~src:root.node ~dsts
+      ~timeout:exec.config.request_timeout
+      (Messages.Apply { txn = root.txn_id; writes; reads });
+    if exec.batch_commit then begin
+      (* Keep the speculation machinery coherent: successors may have read
+         this root's inputs from committed images. *)
+      record_spec_outcome exec ~txn:root.txn_id ~committed:true;
+      refresh_committed_images exec ~txn:root.txn_id ~wset:scope.wset
+    end;
+    Metrics.note_commit exec.metrics ~latency:(now root -. root.born);
+    if cross_shard r then begin
+      Metrics.note_cross_shard_commit exec.metrics;
+      trace root ~kind:Obs.Sem.xshard_decide ~oid:(-1) ~a:1
+        ~b:(List.length r.cr_parts) ~x:0.
+    end;
+    trace root ~kind:Obs.Sem.txn_commit ~oid:(-1) ~a:(-1) ~b:0
+      ~x:(now root -. root.born);
+    finish root (Committed r.cr_value)
+  end
+
+and epoch_moved exec = function
+  | [] -> false
+  | p :: rest -> exec.quorums.epoch ~shard:p.pt_shard <> p.pt_epoch || epoch_moved exec rest
+
+and release_part root p = release_locks root ~quorum:p.pt_quorum ~locks:p.pt_locks
+
+(* Release the participants prepared so far, [upto] included, newest
+   first. *)
+and release_contacted r ~upto =
+  let rec go = function
+    | [] -> ()
+    | p :: rest ->
+      if p != upto then go rest;
+      release_part r.cr_root p
+  in
+  go r.cr_parts
+
+and retry_round r =
+  Metrics.note_quorum_retry r.cr_root.exec.metrics;
+  resend_round r
+
+and resend_round r =
+  let root = r.cr_root in
+  schedule root ~delay:(jittered root.exec.rng root.exec.config.ct_retry_delay)
+    (fun () -> send_commit_request root ~scope:r.cr_scope ~value:r.cr_value)
+
+and abort_round r =
+  if cross_shard r then begin
+    Metrics.note_cross_shard_abort r.cr_root.exec.metrics;
+    trace r.cr_root ~kind:Obs.Sem.xshard_decide ~oid:(-1) ~a:0
+      ~b:(List.length r.cr_parts) ~x:0.
+  end;
+  root_abort r.cr_root
 
 and release_locks root ~quorum ~locks =
   (* At-least-once: a dropped Release would leave objects locked by a dead
@@ -1194,96 +1254,6 @@ and release_locks root ~quorum ~locks =
     Sim.Rpc.acked_multicast root.exec.rpc ~kind:Messages.release_kind ~src:root.node ~dsts:quorum
       ~timeout:root.exec.config.request_timeout
       (Messages.Release { txn = root.txn_id; oids = locks; round = root.commit_round })
-
-and handle_votes root ~scope ~value ~shard ~quorum ~window_start ~send_epoch
-    ~replies ~missing =
-  let exec = root.exec in
-  let locks = Rwset.oids scope.wset in
-  if Obs.Tracer.enabled exec.tracer then
-    List.iter
-      (fun (voter, reply) ->
-        match reply with
-        | Messages.Vote { commit; lock_conflict } ->
-          trace root ~kind:Obs.Sem.vote_recv ~oid:(-1) ~a:voter
-            ~b:((if commit then 1 else 0) lor if lock_conflict then 2 else 0)
-            ~x:0.
-        | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Sync_rep _
-        | Messages.Status_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
-          ())
-      replies;
-  if missing <> [] || exec.quorums.epoch ~shard <> send_epoch then begin
-    (* A write-quorum member failed mid-2PC, or a reconfiguration installed
-       a new view while the votes were in flight (the answering quorum need
-       not intersect current-view quorums): release whatever was locked and
-       retry against refreshed quorums. *)
-    release_locks root ~quorum ~locks;
-    Metrics.note_quorum_retry exec.metrics;
-    schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay) (fun () ->
-        send_commit_request root ~scope ~value)
-  end
-  else begin
-    let all_commit, any_lock_conflict =
-      List.fold_left
-        (fun (all, lock) (_, reply) ->
-          match reply with
-          | Messages.Vote { commit; lock_conflict } ->
-            (all && commit, lock || lock_conflict)
-          | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Sync_rep _ | Messages.Status_rep _
-          | Messages.Ack | Messages.Batch_commit_rep _ ->
-            (false, lock))
-        (true, false) replies
-    in
-    if all_commit && now root > root.lock_deadline then begin
-      (* The votes arrived past the coordinator's lease horizon: replicas
-         may already be presuming abort, so committing now could race a
-         conflicting writer.  Walk away — Release is harmless whether or
-         not the leases already fell. *)
-      Metrics.note_commit_deadline_abort exec.metrics;
-      trace root ~kind:Obs.Sem.deadline_abort ~oid:(-1) ~a:(-1) ~b:(-1)
-        ~x:root.lock_deadline;
-      release_locks root ~quorum ~locks;
-      root_abort root
-    end
-    else if all_commit then begin
-      let writes = writes_of_wset scope.wset in
-      let reads = reads_of_rset scope.rset in
-      record_commit root ~scope ~window_start;
-      (* At-least-once: losing an Apply at the read/write-quorum
-         intersection node would let later reads miss this commit; Apply is
-         version-guarded (idempotent), so retransmission is safe. *)
-      Sim.Rpc.acked_multicast exec.rpc ~kind:Messages.apply_kind ~src:root.node ~dsts:quorum
-        ~timeout:exec.config.request_timeout
-        (Messages.Apply { txn = root.txn_id; writes; reads });
-      Metrics.note_commit exec.metrics ~latency:(now root -. root.born);
-      trace root ~kind:Obs.Sem.txn_commit ~oid:(-1) ~a:(-1) ~b:0
-        ~x:(now root -. root.born);
-      finish root (Committed value)
-    end
-    else begin
-      release_locks root ~quorum ~locks;
-      (* Stale vetoes (no lock conflict) witness versions the read quorum
-         missed — see [extra_read_peers]. *)
-      let stale_witnesses =
-        List.filter_map
-          (fun (n, reply) ->
-            match reply with
-            | Messages.Vote { commit = false; lock_conflict = false } -> Some n
-            | Messages.Vote _ | Messages.Read_ok _ | Messages.Read_abort _
-            | Messages.Sync_rep _ | Messages.Status_rep _ | Messages.Ack | Messages.Batch_commit_rep _ ->
-              None)
-          replies
-      in
-      widen_to_witnesses root stale_witnesses;
-      if any_lock_conflict && root.commit_lock_budget > 0 then begin
-        (* Ablation knob: a lock conflict may resolve as soon as the holder
-           finishes its 2PC; optionally retry the commit before aborting. *)
-        root.commit_lock_budget <- root.commit_lock_budget - 1;
-        schedule root ~delay:(jittered exec.rng exec.config.ct_retry_delay) (fun () ->
-            send_commit_request root ~scope ~value)
-      end
-      else root_abort root
-    end
-  end
 
 and record_commit root ~scope ~window_start =
   match root.exec.oracle with
@@ -1331,25 +1301,27 @@ and enqueue_commit root ~scope ~value ~shard =
   Rwset.iter scope.wset check;
   if !doomed then root_abort root
   else begin
-  let bq = batchq exec ~shard in
+    let bq = batchq exec ~shard in
+    bq.bq_queue <- publish root ~scope ~value :: bq.bq_queue;
+    bq.bq_len <- bq.bq_len + 1;
+    if not bq.bq_inflight then begin
+      if bq.bq_len >= exec.config.batch_size then cut_batch exec ~bq
+      else schedule_cut exec ~bq ~delay:exec.config.batch_delay
+    end
+  end
+
+(* Publish the root's write images and make its queue entry. *)
+and publish root ~scope ~value =
   Rwset.iter scope.wset (fun (e : Rwset.entry) ->
-      set_image exec ~oid:e.oid ~txn:root.txn_id ~version:(e.version + 1)
+      set_image root.exec ~oid:e.oid ~txn:root.txn_id ~version:(e.version + 1)
         ~value:e.value);
-  bq.bq_queue <-
-    {
-      p_root = root;
-      p_scope = scope;
-      p_value = value;
-      p_txn = root.txn_id;
-      p_generation = root.generation;
-    }
-    :: bq.bq_queue;
-  bq.bq_len <- bq.bq_len + 1;
-  if not bq.bq_inflight then begin
-    if bq.bq_len >= exec.config.batch_size then cut_batch exec ~bq
-    else schedule_cut exec ~bq ~delay:exec.config.batch_delay
-  end
-  end
+  {
+    p_root = root;
+    p_scope = scope;
+    p_value = value;
+    p_txn = root.txn_id;
+    p_generation = root.generation;
+  }
 
 (* Re-admit a live entry whose round failed to decide it (lock conflict).
    It must go to the queue's {e oldest} side, not the newest: readers of its
@@ -1357,21 +1329,7 @@ and enqueue_commit root ~scope ~value ~shard =
    and batch order must decide the writer before its readers — prepending
    would invert that and spec-abort every dependent. *)
 and requeue_commit root ~scope ~value ~bq =
-  let exec = root.exec in
-  Rwset.iter scope.wset (fun (e : Rwset.entry) ->
-      set_image exec ~oid:e.oid ~txn:root.txn_id ~version:(e.version + 1)
-        ~value:e.value);
-  bq.bq_queue <-
-    bq.bq_queue
-    @ [
-        {
-          p_root = root;
-          p_scope = scope;
-          p_value = value;
-          p_txn = root.txn_id;
-          p_generation = root.generation;
-        };
-      ];
+  bq.bq_queue <- bq.bq_queue @ [ publish root ~scope ~value ];
   bq.bq_len <- bq.bq_len + 1
 
 and schedule_cut exec ~bq ~delay =
@@ -1391,8 +1349,7 @@ and cut_batch exec ~bq =
       (fun p ->
         if still_current p.p_root p.p_generation then true
         else begin
-          record_spec_outcome exec ~txn:p.p_txn ~committed:false;
-          drop_images exec ~txn:p.p_txn ~wset:p.p_scope.wset;
+          abandon exec p;
           false
         end)
       (List.rev bq.bq_queue) (* oldest first = commit order *)
@@ -1424,10 +1381,12 @@ and cut_batch exec ~bq =
       let sent_at = Sim.Engine.now exec.engine in
       let txns = Array.make n 0 in
       let rounds = Array.make n 0 in
-      let datasets = Array.make n Messages.empty_dataset in
+      let ds_offsets = Array.make (n + 1) 0 in
+      let wr_offsets = Array.make (n + 1) 0 in
       let writes_by_entry = Array.make n Messages.empty_writes in
       let reads_by_entry = Array.make n [||] in
       let locks_by_entry = Array.make n [] in
+      exec.ds_len <- 0;
       for i = 0 to n - 1 do
         let p = ea.(i) in
         let root = p.p_root in
@@ -1438,48 +1397,19 @@ and cut_batch exec ~bq =
         root.commit_round <- root.commit_round + 1;
         txns.(i) <- root.txn_id;
         rounds.(i) <- root.commit_round;
-        datasets.(i) <-
-          commit_dataset exec ~scope_rset:scope.rset ~scope_wset:scope.wset;
+        stage_commit_rows exec ~scope_rset:scope.rset ~scope_wset:scope.wset;
+        ds_offsets.(i + 1) <- exec.ds_len;
         let locks = Rwset.oids scope.wset in
         locks_by_entry.(i) <- locks;
-        root.lock_deadline <-
-          (if exec.config.lease_duration > 0. && locks <> [] then
-             sent_at +. exec.config.lease_duration -. exec.config.lease_safety_margin
-           else Float.infinity);
+        root.lock_deadline <- lease_horizon exec ~sent_at ~locks;
         writes_by_entry.(i) <- writes_of_wset scope.wset;
+        wr_offsets.(i + 1) <- wr_offsets.(i) + Messages.writes_len writes_by_entry.(i);
         reads_by_entry.(i) <- reads_of_rset scope.rset;
         trace root ~kind:Obs.Sem.batch_entry ~oid:(-1) ~a:batch_id ~b:i ~x:0.;
         trace root ~kind:Obs.Sem.commit_send ~oid:(-1) ~a:(List.length locks)
           ~b:quorum_size ~x:(Float.of_int bq.bq_shard)
       done;
-      let ds_offsets = Array.make (n + 1) 0 in
-      let wr_offsets = Array.make (n + 1) 0 in
-      for i = 0 to n - 1 do
-        ds_offsets.(i + 1) <- ds_offsets.(i) + Messages.dataset_len datasets.(i);
-        wr_offsets.(i + 1) <- wr_offsets.(i) + Messages.writes_len writes_by_entry.(i)
-      done;
-      let dataset =
-        if ds_offsets.(n) = 0 then Messages.empty_dataset
-        else begin
-          let d =
-            {
-              Messages.ds_oids = Array.make ds_offsets.(n) 0;
-              ds_versions = Array.make ds_offsets.(n) 0;
-              ds_owners = Array.make ds_offsets.(n) 0;
-            }
-          in
-          for i = 0 to n - 1 do
-            let s = datasets.(i) in
-            let len = Messages.dataset_len s in
-            Array.blit s.Messages.ds_oids 0 d.Messages.ds_oids ds_offsets.(i) len;
-            Array.blit s.Messages.ds_versions 0 d.Messages.ds_versions
-              ds_offsets.(i) len;
-            Array.blit s.Messages.ds_owners 0 d.Messages.ds_owners ds_offsets.(i)
-              len
-          done;
-          d
-        end
-      in
+      let dataset = ds_freeze exec in
       let writes =
         if wr_offsets.(n) = 0 then Messages.empty_writes
         else begin
@@ -1543,10 +1473,7 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
         release_locks p.p_root ~quorum ~locks:locks_by_entry.(i);
         requeued := p :: !requeued
       end
-      else begin
-        record_spec_outcome exec ~txn:p.p_txn ~committed:false;
-        drop_images exec ~txn:p.p_txn ~wset:p.p_scope.wset
-      end
+      else abandon exec p
     done;
     (* These entries are older than anything enqueued while the round was
        in flight: append them at the queue's tail (its oldest side). *)
@@ -1562,45 +1489,25 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
     for i = 0 to n - 1 do
       let p = entries.(i) in
       let root = p.p_root in
-      if not (still_current root p.p_generation) then begin
+      if not (still_current root p.p_generation) then
         (* The root was fail-stopped while the round was in flight.  No
            Release is sent on its behalf (a dead coordinator cannot speak);
            its leases expire and replica-side termination resolves them. *)
-        record_spec_outcome exec ~txn:p.p_txn ~committed:false;
-        drop_images exec ~txn:p.p_txn ~wset:p.p_scope.wset
-      end
+        abandon exec p
       else begin
         let scope = p.p_scope in
-        let all_commit = ref true in
-        let lock_conflict = ref false in
-        List.iter
-          (fun (voter, reply) ->
-            match reply with
-            | Messages.Batch_commit_rep { commits; conflicts } ->
-              if not commits.(i) then all_commit := false;
-              if conflicts.(i) then lock_conflict := true;
-              if Obs.Tracer.enabled exec.tracer then
-                trace root ~kind:Obs.Sem.vote_recv ~oid:(-1) ~a:voter
-                  ~b:
-                    ((if commits.(i) then 1 else 0)
-                    lor if conflicts.(i) then 2 else 0)
-                  ~x:0.
-            | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Vote _
-            | Messages.Sync_rep _ | Messages.Status_rep _ | Messages.Ack ->
-              all_commit := false)
-          replies;
+        let verdict = tally_votes root ~entry:i replies in
         match dep_status exec root.spec_deps with
         | `Failed dep | `Undecided dep ->
           (* A predecessor this entry read from aborted (or was requeued
              past it — a batch-order violation): the entry read state that
              never committed and must retry, whatever the replicas voted. *)
           release_locks root ~quorum ~locks:locks_by_entry.(i);
-          record_spec_outcome exec ~txn:root.txn_id ~committed:false;
-          drop_images exec ~txn:root.txn_id ~wset:scope.wset;
-          trace root ~kind:Obs.Sem.batch_decide ~oid:(-1) ~a:batch_id ~b:0 ~x:0.;
+          reject_entry exec p ~batch_id;
           speculation_abort root ~dep
-        | `Ok ->
-          if !all_commit && now_ <= root.lock_deadline then begin
+        | `Ok -> (
+          match verdict with
+          | All_commit when now_ <= root.lock_deadline ->
             record_commit root ~scope ~window_start:sent_at;
             Sim.Rpc.acked_multicast exec.rpc ~kind:Messages.apply_kind
               ~src:root.node ~dsts:quorum ~timeout:exec.config.request_timeout
@@ -1617,35 +1524,16 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
             if locks_by_entry.(i) <> [] then
               committed_now := root.txn_id :: !committed_now;
             finish root (Committed p.p_value)
-          end
-          else if !all_commit then begin
+          | All_commit ->
             (* votes arrived past the coordinator's lease horizon *)
-            Metrics.note_commit_deadline_abort exec.metrics;
-            trace root ~kind:Obs.Sem.deadline_abort ~oid:(-1) ~a:(-1) ~b:(-1)
-              ~x:root.lock_deadline;
+            note_deadline_abort root;
             release_locks root ~quorum ~locks:locks_by_entry.(i);
-            record_spec_outcome exec ~txn:root.txn_id ~committed:false;
-            drop_images exec ~txn:root.txn_id ~wset:scope.wset;
-            trace root ~kind:Obs.Sem.batch_decide ~oid:(-1) ~a:batch_id ~b:0
-              ~x:0.;
+            reject_entry exec p ~batch_id;
             root_abort root
-          end
-          else begin
+          | Vetoed { lock_conflict; stale_witnesses } ->
             release_locks root ~quorum ~locks:locks_by_entry.(i);
-            let stale_witnesses =
-              List.filter_map
-                (fun (voter, reply) ->
-                  match reply with
-                  | Messages.Batch_commit_rep { commits; conflicts } ->
-                    if (not commits.(i)) && not conflicts.(i) then Some voter
-                    else None
-                  | Messages.Read_ok _ | Messages.Read_abort _ | Messages.Vote _
-                  | Messages.Sync_rep _ | Messages.Status_rep _ | Messages.Ack ->
-                    None)
-                replies
-            in
             widen_to_witnesses root stale_witnesses;
-            if !lock_conflict && root.commit_lock_budget > 0 then begin
+            if lock_conflict && root.commit_lock_budget > 0 then begin
               (* The conflict may clear by the next round (e.g. a foreign
                  Apply still in flight): straight back into the queue, on
                  its oldest side so the entry still decides before any
@@ -1656,13 +1544,9 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
               requeue_commit root ~scope ~value:p.p_value ~bq
             end
             else begin
-              record_spec_outcome exec ~txn:root.txn_id ~committed:false;
-              drop_images exec ~txn:root.txn_id ~wset:scope.wset;
-              trace root ~kind:Obs.Sem.batch_decide ~oid:(-1) ~a:batch_id ~b:0
-                ~x:0.;
+              reject_entry exec p ~batch_id;
               root_abort root
-            end
-          end
+            end)
       end
     done;
     bq.bq_prev_commits <- bq.bq_last_commits;
@@ -1672,6 +1556,10 @@ and decide_batch exec ~bq ~entries ~writes_by_entry ~reads_by_entry
        flight (or requeued on a lock conflict above) cuts immediately *)
     if bq.bq_queue <> [] then cut_batch exec ~bq
   end
+
+and reject_entry exec p ~batch_id =
+  abandon exec p;
+  trace p.p_root ~kind:Obs.Sem.batch_decide ~oid:(-1) ~a:batch_id ~b:0 ~x:0.
 
 and finish root outcome =
   if not root.finished then begin

@@ -17,8 +17,7 @@ val validate :
     allocation until the final [Some]. *)
 
 val oid_valid : Store.Replica.t -> txn:Ids.txn_id -> oid:Ids.obj_id -> version:int -> bool
-(** Single-row check against the local copy (the 2PC vote path loops this
-    over the flat data-set). *)
+(** Single-row check against the local copy, as {!validate} applies it. *)
 
 val entry_valid : Store.Replica.t -> txn:Ids.txn_id -> Messages.dataset_entry -> bool
 (** {!oid_valid} over the row-record view (tests). *)

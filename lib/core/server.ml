@@ -28,8 +28,6 @@ type t = {
   node : int;
   store : Store.Replica.t;
   mutable termination : termination option;
-  mutable validations_run : int;
-  mutable validations_failed : int;
   (* Tracing: injected after construction (see [instrument]); the clock
      closure decouples the server from needing an engine when termination
      is off.  Inert defaults when tracing is disabled. *)
@@ -42,8 +40,6 @@ let create ~node ~store =
     node;
     store;
     termination = None;
-    validations_run = 0;
-    validations_failed = 0;
     tracer = Obs.Tracer.null;
     clock = (fun () -> 0.);
   }
@@ -62,21 +58,15 @@ let trace t ~kind ~txn ~oid ~a ~b ~x =
 
 let node t = t.node
 let store t = t.store
-let validations_run t = t.validations_run
-let validations_failed t = t.validations_failed
 
 let handle_read t ~txn ~oid ~dataset ~write_intent ~record =
   let validated = Messages.dataset_len dataset > 0 in
   let verdict =
     if not validated then None
-    else begin
-      t.validations_run <- t.validations_run + 1;
-      Rqv.validate t.store ~txn ~dataset
-    end
+    else Rqv.validate t.store ~txn ~dataset
   in
   match verdict with
   | Some target ->
-    t.validations_failed <- t.validations_failed + 1;
     trace t ~kind:Obs.Sem.rqv_fail ~txn ~oid ~a:target ~b:(-1) ~x:0.;
     Some (Messages.Read_abort { target })
   | None ->
@@ -282,56 +272,135 @@ let enable_termination ?(node_alive = fun _ -> true) t ~engine ~lease_lane ~rpc
   Store.Replica.set_on_restore t.store (fun ~oid ~owner ~expires ->
       watch_granted t ~txn:owner ~oids:[ oid ] ~expires)
 
+let trace_vote t ~txn ~commit ~lock_conflict =
+  trace t ~kind:Obs.Sem.vote ~txn ~oid:(-1) ~a:(Bool.to_int commit)
+    ~b:(Bool.to_int lock_conflict) ~x:0.
+
+(* --- commit votes --------------------------------------------------------- *)
+
+(* The context a commit entry is voted in.  A batch entry validates against
+   its locally-valid predecessors in the same round; a sequential Commit_req
+   is the entry of a batch of one, with nothing before it. *)
+type batch_ctx = {
+  overlay : (Ids.obj_id, int) Hashtbl.t;
+      (* oid -> version the latest locally-valid predecessor installs *)
+  chain : (Ids.obj_id, Ids.txn_id) Hashtbl.t;
+      (* oid -> batch entry currently holding the in-batch lease *)
+  decided : Ids.txn_id array;
+      (* transactions whose commit was decided but whose Apply may still be
+         in flight (PROTOCOL.md §9) *)
+}
+
+(* The sequential vote's context: no overlay, no chain, nothing decided.
+   Shared and never written. *)
+let sequential = { overlay = Hashtbl.create 1; chain = Hashtbl.create 1; decided = [||] }
+
+let is_decided ctx txn = Array.exists (fun d -> d = txn) ctx.decided
+
+(* A lease blocks entry [txn] unless it is its own, the in-batch
+   predecessor's (handed over), or a moribund lease of a [decided]
+   transaction — the last only when the entry's base [row] is strictly
+   ahead of [visible], i.e. it read past the decided write.  At
+   [row = visible] it saw the pre-commit value, and the lease must veto it
+   exactly as in the vote-to-apply window of a sequential commit. *)
+let lease_blocks ctx ~txn ~oid (copy : Store.Replica.copy) ~row ~visible =
+  match copy.protected_by with
+  | Some { owner; _ } ->
+    owner <> txn
+    && (match Hashtbl.find_opt ctx.chain oid with
+       | Some holder -> owner <> holder
+       | None -> true)
+    && not (row > visible && is_decided ctx owner)
+  | None -> false
+
+(* The version a row validates against: the in-batch overlay's, else the
+   local copy's.  The overlay only ever holds objects hosted here. *)
+let visible ctx ~oid (copy : Store.Replica.copy) =
+  match Hashtbl.find_opt ctx.overlay oid with Some v -> v | None -> copy.version
+
+(* Row [r] of [dataset] validates: hosted here, not stale, not blocked by a
+   lease. *)
+let row_valid t ctx ~txn (dataset : Messages.dataset) r =
+  let oid = dataset.ds_oids.(r) and row = dataset.ds_versions.(r) in
+  match Store.Replica.find t.store oid with
+  | None -> false
+  | Some copy ->
+    let visible = visible ctx ~oid copy in
+    row >= visible && not (lease_blocks ctx ~txn ~oid copy ~row ~visible)
+
+(* Conflict probe of an invalid row: a foreign lease on a not-yet-superseded
+   read is retryable; staleness is hopeless. *)
+let row_conflict t ctx ~txn (dataset : Messages.dataset) r =
+  let oid = dataset.ds_oids.(r) and row = dataset.ds_versions.(r) in
+  match Store.Replica.find t.store oid with
+  | None -> false
+  | Some copy ->
+    let visible = visible ctx ~oid copy in
+    visible <= row && lease_blocks ctx ~txn ~oid copy ~row ~visible
+
+(* An entry's vote over its rows [lo, hi): every row valid, and failing
+   that, whether some row hit a lock conflict. *)
+let rows_valid t ctx ~txn dataset ~lo ~hi =
+  let r = ref lo in
+  while !r < hi && row_valid t ctx ~txn dataset !r do
+    incr r
+  done;
+  !r >= hi
+
+let rows_conflict t ctx ~txn dataset ~lo ~hi =
+  let r = ref lo in
+  while !r < hi && not (row_conflict t ctx ~txn dataset !r) do
+    incr r
+  done;
+  !r < hi
+
+(* Lock entry [txn]'s write set, all or nothing.  A foreign lease held by
+   the in-batch predecessor, or by a [decided] owner whose Apply (which
+   would release it) is still in flight, is handed down the chain: the
+   write base was validated, and a base read past a decided write has
+   [row > visible], so [lease_blocks] already vetted the override.  The
+   displaced lease is kept ([Replica.handover]): it may be the only
+   protection for a committed write whose Apply was lost, and releasing the
+   successor (speculation abort, requeue) must restore it, not strand the
+   object unleased.  Failure is unreachable in a synchronous handler
+   (validation already rejected foreign leases); stay defensive and roll
+   back round-guarded — this may be a reordered stale request whose
+   re-grants renewed a newer round's locks, and those must survive. *)
+let rec lock_all t ctx ~txn ~round ~expires acquired = function
+  | [] -> true
+  | oid :: rest ->
+    if
+      Store.Replica.try_lock ~expires ~round t.store ~oid ~txn
+      || hand_over t ctx ~txn ~round ~expires oid
+    then lock_all t ctx ~txn ~round ~expires (oid :: acquired) rest
+    else begin
+      List.iter (fun o -> Store.Replica.unlock ~round t.store ~oid:o ~txn) acquired;
+      false
+    end
+
+and hand_over t ctx ~txn ~round ~expires oid =
+  match Store.Replica.lease_of t.store oid with
+  | Some { owner; _ }
+    when (match Hashtbl.find_opt ctx.chain oid with
+         | Some holder -> owner = holder
+         | None -> false)
+         || is_decided ctx owner ->
+    Store.Replica.handover ~expires ~round t.store ~oid ~prev_owner:owner ~txn
+  | Some _ | None -> false
+
 (* --- request handlers --------------------------------------------------- *)
 
+(* A Commit_req is voted like the one entry of a batch with nothing before
+   it: the [sequential] context. *)
 let handle_commit t ~txn ~(dataset : Messages.dataset) ~locks ~round ~peers =
   let n = Messages.dataset_len dataset in
-  let valid = ref true in
-  let i = ref 0 in
-  while !valid && !i < n do
-    if
-      not
-        (Rqv.oid_valid t.store ~txn ~oid:dataset.ds_oids.(!i)
-           ~version:dataset.ds_versions.(!i))
-    then valid := false
-    else incr i
-  done;
-  if not !valid then begin
-    let lock_conflict = ref false in
-    let j = ref 0 in
-    while (not !lock_conflict) && !j < n do
-      let oid = dataset.ds_oids.(!j) in
-      if
-        Store.Replica.mem t.store oid
-        && Store.Replica.is_protected t.store ~oid ~against:txn
-        && Store.Replica.version t.store oid <= dataset.ds_versions.(!j)
-      then lock_conflict := true
-      else incr j
-    done;
-    Some (Messages.Vote { commit = false; lock_conflict = !lock_conflict })
-  end
+  if not (rows_valid t sequential ~txn dataset ~lo:0 ~hi:n) then
+    Some
+      (Messages.Vote
+         { commit = false; lock_conflict = rows_conflict t sequential ~txn dataset ~lo:0 ~hi:n })
   else begin
-    (* Lock the write set.  All-or-nothing: locking can only fail if another
-       transaction protected an object between the validation above and now,
-       which cannot happen within one synchronous handler — but we stay
-       defensive and roll back partial locks. *)
     let expires = lease_expiry t in
-    let rec lock_all acquired = function
-      | [] -> true
-      | oid :: rest ->
-        if Store.Replica.try_lock ~expires ~round t.store ~oid ~txn then
-          lock_all (oid :: acquired) rest
-        else begin
-          (* Round-guarded: this roll-back may be running for a reordered
-             stale Commit_req whose re-grants renewed a newer round's
-             locks — those must survive. *)
-          List.iter
-            (fun o -> Store.Replica.unlock ~round t.store ~oid:o ~txn)
-            acquired;
-          false
-        end
-    in
-    if lock_all [] locks then begin
+    if lock_all t sequential ~txn ~round ~expires [] locks then begin
       if locks <> [] then begin
         (* Cross-shard 2PC: pin the other participant shards' quorum
            members so a termination round for these leases also asks them
@@ -366,152 +435,38 @@ let handle_batch_commit t ~(txns : Ids.txn_id array) ~(rounds : int array)
   let n = Array.length txns in
   let commits = Array.make n false in
   let conflicts = Array.make n false in
-  (* oid -> version the latest locally-valid predecessor installs *)
-  let overlay : (Ids.obj_id, int) Hashtbl.t = Hashtbl.create 16 in
-  (* oid -> batch entry currently holding the in-batch lease *)
-  let chain : (Ids.obj_id, Ids.txn_id) Hashtbl.t = Hashtbl.create 16 in
-  let decided_owner o = Array.exists (fun d -> d = o) decided in
+  let ctx = { overlay = Hashtbl.create 16; chain = Hashtbl.create 16; decided } in
   let expires = lease_expiry t in
   for i = 0 to n - 1 do
     let txn = txns.(i) in
     (* the batch is heartbeat traffic for every queued transaction *)
     if leases_on t then Store.Replica.renew t.store ~txn ~expires;
-    t.validations_run <- t.validations_run + 1;
-    (* In-batch leases are not conflicts: predecessors hand them over.
-       Neither is a moribund lease of a [decided] transaction — but only
-       when the reader's base version is strictly ahead of the version
-       visible here ([row > visible]), i.e. it read past the decided write.
-       At [row = visible] the reader saw the pre-commit value, and the
-       lease must veto it exactly as in the vote-to-apply window of the
-       sequential protocol. *)
-    let lease_blocks oid ~row ~visible =
-      match Store.Replica.lease_of t.store oid with
-      | Some lease ->
-        let owner = lease.Store.Replica.owner in
-        owner <> txn
-        && (match Hashtbl.find_opt chain oid with
-           | Some holder -> owner <> holder
-           | None -> true)
-        && not (decided_owner owner && row > visible)
-      | None -> false
-    in
-    let visible oid =
-      match Hashtbl.find_opt overlay oid with
-      | Some v -> Some v
-      | None ->
-        if Store.Replica.mem t.store oid then
-          Some (Store.Replica.version t.store oid)
-        else None
-    in
-    let valid = ref true in
     let lo = ds_offsets.(i) and hi = ds_offsets.(i + 1) in
-    let r = ref lo in
-    while !valid && !r < hi do
-      let oid = dataset.ds_oids.(!r) in
-      let row = dataset.ds_versions.(!r) in
-      (match visible oid with
-      | None -> valid := false
-      | Some v -> if row < v || lease_blocks oid ~row ~visible:v then valid := false);
-      if !valid then incr r
-    done;
-    if not !valid then begin
-      t.validations_failed <- t.validations_failed + 1;
-      (* Mirror handle_commit's conflict probe: a foreign lease on a
-         not-yet-superseded read is retryable; staleness is hopeless. *)
-      let j = ref lo in
-      while (not conflicts.(i)) && !j < hi do
-        let oid = dataset.ds_oids.(!j) in
-        let row = dataset.ds_versions.(!j) in
-        (match visible oid with
-        | Some v when v <= row && lease_blocks oid ~row ~visible:v ->
-          conflicts.(i) <- true
-        | Some _ | None -> ());
-        incr j
-      done
-    end
+    if not (rows_valid t ctx ~txn dataset ~lo ~hi) then
+      conflicts.(i) <- rows_conflict t ctx ~txn dataset ~lo ~hi
     else begin
       let wlo = wr_offsets.(i) and whi = wr_offsets.(i + 1) in
-      let rec lock_all acquired r =
-        if r >= whi then true
-        else begin
-          let oid = writes.wr_oids.(r) in
-          if not (Store.Replica.mem t.store oid) then lock_all acquired (r + 1)
-          else begin
-            (* Hand the lease down the chain — from the in-batch
-               predecessor, or from a [decided] owner whose Apply (which
-               would release it) is still in flight.  The write base was
-               validated above, and a base read past a decided write has
-               [row > visible], so the override already vetted this.  The
-               displaced lease is kept ([Replica.handover]): it may be the
-               only protection for a committed write whose Apply was lost,
-               and releasing the successor (speculation abort, requeue)
-               must restore it, not strand the object unleased. *)
-            let prev_owner =
-              match Store.Replica.lease_of t.store oid with
-              | Some lease ->
-                let owner = lease.Store.Replica.owner in
-                if
-                  owner <> txn
-                  && ((match Hashtbl.find_opt chain oid with
-                      | Some holder -> owner = holder
-                      | None -> false)
-                     || decided_owner owner)
-                then Some owner
-                else None
-              | None -> None
-            in
-            let locked =
-              match prev_owner with
-              | Some prev_owner ->
-                Store.Replica.handover ~expires ~round:rounds.(i) t.store ~oid
-                  ~prev_owner ~txn
-              | None ->
-                Store.Replica.try_lock ~expires ~round:rounds.(i) t.store ~oid ~txn
-            in
-            if locked then lock_all (oid :: acquired) (r + 1)
-            else begin
-              (* Unreachable in a synchronous handler (validation already
-                 rejected foreign leases); stay defensive like
-                 handle_commit and roll back round-guarded. *)
-              List.iter
-                (fun o -> Store.Replica.unlock ~round:rounds.(i) t.store ~oid:o ~txn)
-                acquired;
-              false
-            end
-          end
-        end
-      in
-      if lock_all [] wlo then begin
-        let locked = ref [] in
-        for r = whi - 1 downto wlo do
+      let locks = ref [] in
+      for r = whi - 1 downto wlo do
+        if Store.Replica.mem t.store writes.wr_oids.(r) then
+          locks := writes.wr_oids.(r) :: !locks
+      done;
+      if lock_all t ctx ~txn ~round:rounds.(i) ~expires [] !locks then begin
+        for r = wlo to whi - 1 do
           let oid = writes.wr_oids.(r) in
           if Store.Replica.mem t.store oid then begin
-            Hashtbl.replace chain oid txn;
-            Hashtbl.replace overlay oid writes.wr_versions.(r);
-            locked := oid :: !locked
+            Hashtbl.replace ctx.chain oid txn;
+            Hashtbl.replace ctx.overlay oid writes.wr_versions.(r)
           end
         done;
-        if !locked <> [] then watch_granted t ~txn ~oids:!locked ~expires;
+        if !locks <> [] then watch_granted t ~txn ~oids:!locks ~expires;
         commits.(i) <- true
       end
       else conflicts.(i) <- true
     end;
-    trace t ~kind:Obs.Sem.vote ~txn ~oid:(-1)
-      ~a:(if commits.(i) then 1 else 0)
-      ~b:(if conflicts.(i) then 1 else 0)
-      ~x:0.
+    trace_vote t ~txn ~commit:commits.(i) ~lock_conflict:conflicts.(i)
   done;
   Messages.Batch_commit_rep { commits; conflicts }
-
-let trace_vote t ~txn reply =
-  (match reply with
-  | Some (Messages.Vote { commit; lock_conflict }) ->
-    trace t ~kind:Obs.Sem.vote ~txn ~oid:(-1)
-      ~a:(if commit then 1 else 0)
-      ~b:(if lock_conflict then 1 else 0)
-      ~x:0.
-  | _ -> ());
-  reply
 
 let handle_apply t ~txn ~(writes : Messages.writes) ~reads =
   let foreign = ref false in
@@ -604,7 +559,12 @@ let handle t ~src:_ request =
   | Messages.Read_req { txn; oid; dataset; write_intent; record } ->
     handle_read t ~txn ~oid ~dataset ~write_intent ~record
   | Messages.Commit_req { txn; dataset; locks; round; peers } ->
-    trace_vote t ~txn (handle_commit t ~txn ~dataset ~locks ~round ~peers)
+    let reply = handle_commit t ~txn ~dataset ~locks ~round ~peers in
+    (match reply with
+    | Some (Messages.Vote { commit; lock_conflict }) ->
+      trace_vote t ~txn ~commit ~lock_conflict
+    | _ -> ());
+    reply
   | Messages.Apply { txn; writes; reads } ->
     trace t ~kind:Obs.Sem.apply ~txn ~oid:(-1) ~a:(Messages.writes_len writes)
       ~b:(-1) ~x:0.;

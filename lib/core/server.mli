@@ -73,6 +73,3 @@ val store : t -> Store.Replica.t
 val handle : t -> src:int -> Messages.request -> Messages.reply option
 (** Every request currently yields a reply ([Ack] for Apply / Release);
     whether it is sent back depends on the RPC layer's [wants_reply]. *)
-
-val validations_run : t -> int
-val validations_failed : t -> int

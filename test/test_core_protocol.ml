@@ -264,6 +264,91 @@ let test_server_stale_release_ignored () =
   Alcotest.(check bool) "current-round release frees" false
     (Store.Replica.is_protected (Server.store server) ~oid:1 ~against:999)
 
+(* A sequential Commit_req is voted as the one entry of a batch with no
+   predecessors and nothing decided: over random replica states, both
+   handlers must agree on (commit, lock_conflict).  Per object: hosted or
+   not, the local version, and its lease (none, the voter's own, foreign);
+   per row: absent or the version read, and whether it is also locked. *)
+let vote_agreement =
+  let nobj = 5 in
+  let txn = 9 in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_repeat nobj (triple bool (int_range 0 3) (int_range 0 2)))
+        (list_repeat nobj (pair (int_range (-1) 3) bool)))
+  in
+  let print (objects, rows) =
+    let obj (hosted, version, lease) =
+      if hosted then Printf.sprintf "v%d/lease%d" version lease else "unhosted"
+    in
+    let row (read, lock) = Printf.sprintf "%d%s" read (if lock then "L" else "") in
+    Printf.sprintf "objects [%s] rows [%s]"
+      (String.concat "; " (List.map obj objects))
+      (String.concat "; " (List.map row rows))
+  in
+  QCheck.Test.make ~name:"commit_req vote = one-entry batch vote" ~count:500
+    (QCheck.make ~print gen) (fun (objects, rows) ->
+      let replica () =
+        let store = Store.Replica.create () in
+        List.iteri
+          (fun oid (hosted, version, lease) ->
+            if hosted then begin
+              Store.Replica.ensure store ~oid ~init:(Store.Value.Int 0);
+              if version > 0 then
+                Store.Replica.apply store ~oid ~version ~value:Store.Value.Unit ~txn:1;
+              match lease with
+              | 1 -> ignore (Store.Replica.try_lock store ~oid ~txn)
+              | 2 -> ignore (Store.Replica.try_lock store ~oid ~txn:42)
+              | _ -> ()
+            end)
+          objects;
+        Server.create ~node:0 ~store
+      in
+      let read =
+        List.concat
+          (List.mapi
+             (fun oid (version, lock) -> if version >= 0 then [ (oid, version, lock) ] else [])
+             rows)
+      in
+      let dataset =
+        Messages.dataset_of_list
+          (List.map (fun (oid, version, _) -> { Messages.oid; version; owner = 0 }) read)
+      in
+      let locked = List.filter (fun (_, _, lock) -> lock) read in
+      let locks = List.map (fun (oid, _, _) -> oid) locked in
+      let sequential =
+        match
+          Server.handle (replica ()) ~src:5
+            (Messages.Commit_req { txn; dataset; locks; round = 1; peers = [] })
+        with
+        | Some (Messages.Vote { commit; lock_conflict }) -> (commit, lock_conflict)
+        | Some _ | None -> QCheck.Test.fail_report "Commit_req: no vote"
+      in
+      let batched =
+        match
+          Server.handle (replica ()) ~src:5
+            (Messages.Batch_commit_req
+               {
+                 txns = [| txn |];
+                 rounds = [| 1 |];
+                 ds_offsets = [| 0; Messages.dataset_len dataset |];
+                 dataset;
+                 wr_offsets = [| 0; List.length locks |];
+                 writes =
+                   Messages.writes_of_list
+                     (List.map
+                        (fun (oid, version, _) -> (oid, version + 1, Store.Value.Unit))
+                        locked);
+                 decided = [||];
+               })
+        with
+        | Some (Messages.Batch_commit_rep { commits; conflicts }) ->
+          (commits.(0), conflicts.(0))
+        | Some _ | None -> QCheck.Test.fail_report "Batch_commit_req: no vote"
+      in
+      sequential = batched)
+
 (* --- Oracle ------------------------------------------------------------- *)
 
 let test_oracle_accepts_serial () =
@@ -326,7 +411,7 @@ let test_oracle_window_tolerance () =
   Oracle.note_commit oracle ~txn:2 ~decision:14. ~window_start:7. ~reads:[ (1, 0) ] ~writes:[];
   Alcotest.(check bool) "overlapping window ok" true (Result.is_ok (Oracle.check oracle))
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ rwset_add_find ]
+let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ rwset_add_find; vote_agreement ]
 
 let suite =
   [

@@ -106,25 +106,6 @@ let intersection_property =
       && Quorum.Check.write_write_intersection ~writes
       && List.for_all (Quorum.Check.all_alive ~failed:failures) (reads @ writes))
 
-let majority_property =
-  QCheck.Test.make ~name:"flat majority quorums intersect" ~count:300
-    QCheck.(pair (int_range 1 30) (list_of_size (QCheck.Gen.int_range 2 4) (int_range 0 999)))
-    (fun (nodes, salts) ->
-      let m = Quorum.Majority.create ~nodes in
-      let quorums = List.filter_map (fun salt -> Quorum.Majority.quorum ~salt m) salts in
-      Quorum.Check.write_write_intersection ~writes:quorums)
-
-let test_majority_unavailable () =
-  let m = Quorum.Majority.create ~nodes:4 in
-  Quorum.Majority.mark_failed m 0;
-  (* Majority of 4 is 3; with 3 alive it is still constructible. *)
-  Alcotest.(check (option (list int))) "3 of 4 alive" (Some [ 1; 2; 3 ])
-    (Quorum.Majority.quorum m);
-  Quorum.Majority.mark_failed m 1;
-  Alcotest.(check (option (list int))) "below majority" None (Quorum.Majority.quorum m);
-  Quorum.Majority.revive m 0;
-  Alcotest.(check bool) "revive restores" true (Quorum.Majority.quorum m <> None)
-
 (* Regression: the Fig. 10 victim set on 28 nodes includes a dead *leaf*
    (node 13) under a chain of dead interior nodes; the write quorum must
    still be constructible (the dead leaf's subtree contributes nothing, and
@@ -147,7 +128,7 @@ let test_check_helpers () =
   Alcotest.(check bool) "empty never intersects" false (Quorum.Check.intersects [] [ 1 ])
 
 let qcheck_cases =
-  List.map QCheck_alcotest.to_alcotest [ intersection_property; majority_property ]
+  List.map QCheck_alcotest.to_alcotest [ intersection_property ]
 
 let suite =
   [
@@ -157,7 +138,6 @@ let suite =
     Alcotest.test_case "quorum grows by one per failure" `Quick test_quorum_growth_under_failures;
     Alcotest.test_case "failed nodes excluded" `Quick test_failed_nodes_excluded;
     Alcotest.test_case "revive restores quorums" `Quick test_revive;
-    Alcotest.test_case "majority below threshold" `Quick test_majority_unavailable;
     Alcotest.test_case "write quorum survives dead leaf" `Quick
       test_write_quorum_survives_dead_leaf;
     Alcotest.test_case "check helpers" `Quick test_check_helpers;

@@ -55,8 +55,9 @@ let test_single_cross_shard_commit () =
     (Metrics.cross_shard_commits (Cluster.metrics cluster));
   expect_consistent cluster
 
-(* A transaction confined to one shard must keep the one-round fast path:
-   no 2PC, no cross-shard metrics, even on a sharded cluster. *)
+(* A transaction confined to one shard commits in one round (the 2PC's
+   one-participant case): no cross-shard metrics, even on a sharded
+   cluster. *)
 let test_same_shard_fast_path () =
   let cluster = sharded_cluster () in
   let a = Cluster.alloc_object cluster ~init:(Store.Value.Int 100) in
