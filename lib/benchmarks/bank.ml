@@ -52,19 +52,28 @@ let setup cluster (params : Workload.params) =
       let s = Workload.pick_shard rng params ~shards in
       if s = home || Array.length by_shard.(s) = 0 then target () else s
     in
-    let s = target () in
-    by_shard.(s).(Util.Rng.int rng (Array.length by_shard.(s)))
+    let bucket = by_shard.(target ()) in
+    (* The buckets are frozen at setup, so once [a] has been moved its old
+       bucket can hold it: a self-transfer would mint money.  Take the next
+       entry instead; a bucket holding only [a] yields no partner. *)
+    let n = Array.length bucket in
+    let i = Util.Rng.int rng n in
+    if bucket.(i) <> a then Some bucket.(i)
+    else if n > 1 then Some bucket.((i + 1) mod n)
+    else None
   in
   let pick_two rng =
     let a = Workload.pick_key rng params in
-    if xshard && Util.Rng.chance rng params.cross_shard_prob then
-      (accounts.(a), accounts.(pick_cross rng a))
-    else
-      let rec other () =
-        let b = Workload.pick_key rng params in
-        if b = a then other () else b
-      in
-      (accounts.(a), accounts.(other ()))
+    let rec other () =
+      let b = Workload.pick_key rng params in
+      if b = a then other () else b
+    in
+    let b =
+      if xshard && Util.Rng.chance rng params.cross_shard_prob then
+        match pick_cross rng a with Some b -> b | None -> other ()
+      else other ()
+    in
+    (accounts.(a), accounts.(b))
   in
   let generate rng =
     let ops =
