@@ -64,13 +64,11 @@ let distinct_nodes rng ~nodes ~count =
 
 let span rng a b = a +. Util.Rng.float rng (b -. a)
 
-(* Mirror of [Cluster.create]'s contiguous initial partition: which shard
-   a node replicates before any split rearranges the layout. *)
-let initial_shard_of ~nodes ~shards n =
-  let base = nodes / shards and rem = nodes mod shards in
+(* Which shard a node replicates in [Cluster.initial_partition]'s layout,
+   before any churn or split rearranges it. *)
+let initial_shard_of layout n =
   let rec find s =
-    let start = (s * base) + Stdlib.min s rem in
-    let size = base + if s < rem then 1 else 0 in
+    let start, size = layout.(s) in
     if n < start + size then s else find (s + 1)
   in
   find 0
@@ -78,6 +76,7 @@ let initial_shard_of ~nodes ~shards n =
 let generate knobs ~seed =
   let rng = Util.Rng.create (seed lxor 0x5eed_cafe) in
   let h = knobs.horizon in
+  let layout = Cluster.initial_partition ~nodes:knobs.nodes ~shards:knobs.shards in
   let events = ref [] in
   let add e = events := e :: !events in
   (* Nodes already cast in another fault's role; membership churn below
@@ -97,14 +96,10 @@ let generate knobs ~seed =
          that.  Post-filtering keeps the draw sequence (and so every
          unsharded schedule) unchanged. *)
       let killed = Array.make knobs.shards 0 in
-      let size s =
-        let base = knobs.nodes / knobs.shards and rem = knobs.nodes mod knobs.shards in
-        base + if s < rem then 1 else 0
-      in
       List.filter
         (fun node ->
-          let s = initial_shard_of ~nodes:knobs.nodes ~shards:knobs.shards node in
-          if killed.(s) + 1 < size s then begin
+          let s = initial_shard_of layout node in
+          if killed.(s) + 1 < snd layout.(s) then begin
             killed.(s) <- killed.(s) + 1;
             true
           end
@@ -197,11 +192,19 @@ let generate knobs ~seed =
      operation is valid when it fires.  Departed nodes recycle through the
      spare pool, so a schedule can leave a node and join it back later.
      All the churn draws happen after the classic ones: a knobs record with
-     [reconfigs = 0] reproduces pre-churn schedules byte-for-byte. *)
+     [reconfigs = 0] reproduces pre-churn schedules byte-for-byte.  Sharded
+     clusters also mirror each node's home shard (joins land in shard 0, a
+     replacement inherits the leaver's shard) and draw leaves only from
+     shards above [Cluster.min_members]. *)
   if knobs.reconfigs > 0 then begin
     let members = ref (List.init knobs.nodes Fun.id) in
     let pool = ref (List.init knobs.spares (fun i -> knobs.nodes + i)) in
     let floor = Stdlib.max 3 ((knobs.nodes / 2) + 1) in
+    let home =
+      Array.init (knobs.nodes + knobs.spares) (fun n ->
+          if n < knobs.nodes then initial_shard_of layout n else 0)
+    in
+    let shard_size s = List.length (List.filter (fun n -> home.(n) = s) !members) in
     let n_ops = Util.Rng.int rng (knobs.reconfigs + 1) in
     let slot i =
       (0.20 *. h)
@@ -210,11 +213,13 @@ let generate knobs ~seed =
     in
     for i = 0 to n_ops - 1 do
       let leavable = List.filter (fun n -> not (List.mem n !busy)) !members in
-      let can_shrink = List.length !members > floor && leavable <> [] in
-      let can_join = !pool <> [] in
-      let pick_leaver () =
-        List.nth leavable (Util.Rng.int rng (List.length leavable))
+      let shrinkable =
+        if knobs.shards <= 1 then leavable
+        else List.filter (fun n -> shard_size home.(n) > Cluster.min_members) leavable
       in
+      let can_shrink = List.length !members > floor && shrinkable <> [] in
+      let can_join = !pool <> [] in
+      let pick_leaver from = List.nth from (Util.Rng.int rng (List.length from)) in
       let take_spare () =
         match !pool with
         | j :: rest ->
@@ -234,32 +239,30 @@ let generate knobs ~seed =
         | `Join ->
           let j = take_spare () in
           members := j :: !members;
+          home.(j) <- 0;
           add (Scenario.Join { node = j; at = slot i })
         | `Leave ->
-          let l = pick_leaver () in
+          let l = pick_leaver shrinkable in
           members := List.filter (fun n -> n <> l) !members;
           pool := !pool @ [ l ];
           add (Scenario.Leave { node = l; at = slot i })
         | `Replace ->
-          let l = pick_leaver () in
+          let l = pick_leaver leavable in
           let j = take_spare () in
           members := j :: List.filter (fun n -> n <> l) !members;
+          home.(j) <- home.(l);
           pool := !pool @ [ l ];
           add (Scenario.Replace { leaving = l; joining = j; at = slot i }))
     done
   end;
   (* Shard-directory churn: up to [shard_ops] sequential moves/splits,
-     tracked against a mirror of the runtime directory (splits re-home the
-     odd-indexed objects of the split shard, exactly as the cluster does)
-     so every drawn operation is valid when it fires.  These draws come
-     after every classic one: [shards = 1] or [shard_ops = 0] reproduces
-     the pre-shard schedule byte-for-byte. *)
+     tracked against a mirror of the runtime directory (splits follow the
+     cluster's own split rule) so every drawn operation is valid when it
+     fires.  These draws come after every classic one: [shards = 1] or
+     [shard_ops = 0] reproduces the pre-shard schedule byte-for-byte. *)
   if knobs.shards > 1 && knobs.shard_ops > 0 then begin
     let dir = Array.init knobs.accounts (fun oid -> oid mod knobs.shards) in
-    let sizes =
-      let base = knobs.nodes / knobs.shards and rem = knobs.nodes mod knobs.shards in
-      ref (List.init knobs.shards (fun s -> base + if s < rem then 1 else 0))
-    in
+    let sizes = ref (Array.to_list (Array.map snd layout)) in
     let shard_count () = List.length !sizes in
     let n_ops = Util.Rng.int rng (knobs.shard_ops + 1) in
     let slot i =
@@ -269,23 +272,15 @@ let generate knobs ~seed =
     in
     for i = 0 to n_ops - 1 do
       let splittable =
-        List.mapi (fun s n -> (s, n)) !sizes |> List.filter (fun (_, n) -> n >= 6)
+        List.mapi (fun s n -> (s, n)) !sizes
+        |> List.filter (fun (_, n) -> n >= 2 * Cluster.min_members)
       in
       if splittable <> [] && Util.Rng.chance rng 0.3 then begin
         let s, n = List.nth splittable (Util.Rng.int rng (List.length splittable)) in
-        (* keep ceil(n/2), the new shard gets the rest; odd-indexed
-           objects of [s] (in oid order) re-home onto the new shard *)
         let new_id = shard_count () in
-        let idx = ref 0 in
-        Array.iteri
-          (fun oid owner ->
-            if owner = s then begin
-              if !idx land 1 = 1 then dir.(oid) <- new_id;
-              incr idx
-            end)
-          dir;
-        sizes :=
-          List.mapi (fun j m -> if j = s then (n + 1) / 2 else m) !sizes @ [ n / 2 ];
+        Cluster.split_objects dir ~len:knobs.accounts ~shard:s ~new_shard:new_id;
+        let keep = Cluster.split_keep n in
+        sizes := List.mapi (fun j m -> if j = s then keep else m) !sizes @ [ n - keep ];
         add (Scenario.ShardSplit { shard = s; at = slot i })
       end
       else begin

@@ -192,7 +192,7 @@ let crashed_nodes events =
 
 (* {2 Validation} *)
 
-let min_members = 3
+let min_members = Core.Cluster.min_members
 
 let validate ?members ?(shards = 1) ?shard_members ~nodes events =
   let members =
@@ -341,8 +341,8 @@ let validate ?members ?(shards = 1) ?shard_members ~nodes events =
           | Recover { node; at } -> Some (at, `Recover node)
           | Join { node; at } -> Some (at, `Join node)
           | Leave { node; at } -> Some (at, `Leave node)
-          | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _ | Flaky _
-          | Replace _ ->
+          | Replace { leaving; joining; at } -> Some (at, `Replace (leaving, joining))
+          | Suspect _ | Partition _ | Drop _ | Duplicate _ | Spike _ | Flaky _ ->
             None)
         events
       |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
@@ -416,8 +416,24 @@ let validate ?members ?(shards = 1) ?shard_members ~nodes events =
           if not !tracking then walk rest
           else
             match shard_of_node n with
+            | Some s when List.length !(mems.(s)) - 1 < min_members ->
+              err
+                "leave at %g: removing node %d leaves shard %d with %d members, \
+                 below the quorum-viable minimum (%d)"
+                at n s
+                (List.length !(mems.(s)) - 1)
+                min_members
             | Some s ->
               mems.(s) := List.filter (fun m -> m <> n) !(mems.(s));
+              walk rest
+            | None -> walk rest)
+        | `Replace (l, j) -> (
+          (* The joiner takes the leaver's place in the leaver's shard. *)
+          if not !tracking then walk rest
+          else
+            match shard_of_node l with
+            | Some s ->
+              mems.(s) := j :: List.filter (fun m -> m <> l) !(mems.(s));
               walk rest
             | None -> walk rest))
     in
@@ -566,18 +582,13 @@ let install_event t event =
     Core.Cluster.join_node_at ~on_done:(fun () -> leave t) cluster ~at ~node
   | Leave { node; at } ->
     at_time cluster ~at (fun () -> enter t);
-    (* Departures run on the subject's home shard's reconfiguration
-       machine (resolved against the install-time layout; shard 0 — the
-       legacy path — on unsharded clusters). *)
-    Core.Cluster.leave_node_at
-      ~shard:(Core.Cluster.home_shard_of cluster ~node)
-      ~on_done:(fun () -> leave t) cluster ~at ~node
+    (* Departures run on the subject's home shard, which the cluster
+       resolves when the operation fires. *)
+    Core.Cluster.leave_node_at ~on_done:(fun () -> leave t) cluster ~at ~node
   | Replace { leaving; joining; at } ->
     at_time cluster ~at (fun () -> enter t);
-    Core.Cluster.replace_node_at
-      ~shard:(Core.Cluster.home_shard_of cluster ~node:leaving)
-      ~on_done:(fun () -> leave t)
-      cluster ~at ~leaving ~joining
+    Core.Cluster.replace_node_at ~on_done:(fun () -> leave t) cluster ~at ~leaving
+      ~joining
   (* Shard-directory operations wedge the involved shards while the handoff
      runs, so they open degraded windows just like reconfigurations. *)
   | ShardMove { oid; to_shard; at } ->

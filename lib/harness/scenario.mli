@@ -74,8 +74,10 @@ val validate :
     does not exist when it fires and a [shardsplit] of an unknown shard
     are rejected.  When [shard_members] supplies the initial per-shard
     member lists (index = shard id), a [shardsplit] of a shard with fewer
-    than 6 members (two quorum-viable halves) and a crash schedule that
-    takes down the {e last} live member of any shard are also rejected;
+    than 6 members (two quorum-viable halves), a [leave] shrinking its
+    shard below 3 members and a crash schedule that takes down the
+    {e last} live member of any shard are also rejected (joins land in
+    shard 0, a replacement in the leaver's shard);
     these layout-dependent checks are suspended after the first split,
     whose rearrangement is decided at runtime.  [install] runs all of
     this automatically with the cluster's actual layout. *)
