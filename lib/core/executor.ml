@@ -124,7 +124,7 @@ and t = {
      [Messages.dataset] (three [Array.sub]s) only when a request is built.
      An executor runs inside one simulation (one domain) and never builds
      two data-sets at once, so sharing the scratch across roots is safe. *)
-  ds_slots : (int, int) Hashtbl.t; (* oid -> staged row; [full_dataset] dedup *)
+  ds_slots : int Util.Itbl.t; (* oid -> staged row; [full_dataset] dedup *)
   mutable ds_oids : int array;
   mutable ds_versions : int array;
   mutable ds_owners : int array;
@@ -138,13 +138,13 @@ and t = {
       (* one commit queue per shard, grown on demand ([batchq]); a batch
          round is a single-shard quorum round, so entries never mix shards *)
   mutable batch_seq : int; (* batch id for traces; unique across shards *)
-  images : (Ids.obj_id, image) Hashtbl.t;
+  images : image Util.Itbl.t;
   (* Decisions of recent batch entries, consulted to resolve speculative
      dependencies.  Bounded FIFO: a dependency is always decided by the
      time its reader decides (one batch in flight, decided in order), so
      eviction of old entries is safe; an evicted/unknown dependency reads
      as "not committed", which only ever aborts conservatively. *)
-  spec_outcomes : (Ids.txn_id, bool) Hashtbl.t;
+  spec_outcomes : bool Util.Itbl.t;
   spec_outcome_order : Ids.txn_id Queue.t;
 }
 
@@ -206,7 +206,7 @@ let create ~engine ~rpc ~quorums ~config ~metrics ?oracle ?(batch_commit = false
     ids;
     rng = Util.Rng.create seed;
     tracer = Sim.Engine.tracer engine;
-    ds_slots = Hashtbl.create 64;
+    ds_slots = Util.Itbl.create 64;
     ds_oids = Array.make 64 0;
     ds_versions = Array.make 64 0;
     ds_owners = Array.make 64 0;
@@ -216,8 +216,8 @@ let create ~engine ~rpc ~quorums ~config ~metrics ?oracle ?(batch_commit = false
     batch_commit;
     batch_queues = [||];
     batch_seq = 0;
-    images = Hashtbl.create 64;
-    spec_outcomes = Hashtbl.create 256;
+    images = Util.Itbl.create 64;
+    spec_outcomes = Util.Itbl.create 256;
     spec_outcome_order = Queue.create ();
   }
 
@@ -317,17 +317,17 @@ let ds_freeze exec =
    the scratch avoids the per-request table and per-entry allocations. *)
 let full_dataset root =
   let exec = root.exec in
-  Hashtbl.clear exec.ds_slots;
+  Util.Itbl.clear exec.ds_slots;
   exec.ds_len <- 0;
   let note (e : Rwset.entry) =
-    match Hashtbl.find exec.ds_slots e.oid with
+    match Util.Itbl.find exec.ds_slots e.oid with
     | i ->
       if e.owner < exec.ds_owners.(i) then begin
         exec.ds_versions.(i) <- e.version;
         exec.ds_owners.(i) <- e.owner
       end
     | exception Not_found ->
-      Hashtbl.add exec.ds_slots e.oid
+      Util.Itbl.add exec.ds_slots e.oid
         (ds_push exec ~oid:e.oid ~version:e.version ~owner:e.owner)
   in
   List.iter
@@ -539,27 +539,27 @@ let reads_of_rset (rset : Rwset.t) =
 (* Publish/overwrite the write image of [oid]: last enqueued writer wins,
    and queued successors read this instead of the store. *)
 let set_image exec ~oid ~txn ~version ~value =
-  match Hashtbl.find_opt exec.images oid with
+  match Util.Itbl.find_opt exec.images oid with
   | Some img ->
     img.img_txn <- txn;
     img.img_version <- version;
     img.img_value <- value;
     img.img_committed <- false
   | None ->
-    Hashtbl.add exec.images oid
+    Util.Itbl.add exec.images oid
       { img_txn = txn; img_version = version; img_value = value; img_committed = false }
 
 (* Drop [txn]'s still-owned images on abort (a later writer's image
    survives — it never read this one, or it carries its own dependency). *)
 let drop_images exec ~txn ~wset =
   Rwset.iter wset (fun (e : Rwset.entry) ->
-      match Hashtbl.find_opt exec.images e.oid with
-      | Some img when img.img_txn = txn -> Hashtbl.remove exec.images e.oid
+      match Util.Itbl.find_opt exec.images e.oid with
+      | Some img when img.img_txn = txn -> Util.Itbl.remove exec.images e.oid
       | Some _ | None -> ())
 
 let commit_images exec ~txn ~wset =
   Rwset.iter wset (fun (e : Rwset.entry) ->
-      match Hashtbl.find_opt exec.images e.oid with
+      match Util.Itbl.find_opt exec.images e.oid with
       | Some img when img.img_txn = txn -> img.img_committed <- true
       | Some _ | None -> ())
 
@@ -571,7 +571,7 @@ let commit_images exec ~txn ~wset =
    version, and the early doomed-check fails fast its readers. *)
 let refresh_committed_images exec ~txn ~wset =
   Rwset.iter wset (fun (e : Rwset.entry) ->
-      match Hashtbl.find_opt exec.images e.oid with
+      match Util.Itbl.find_opt exec.images e.oid with
       | Some img when img.img_committed && img.img_version <= e.version + 1 ->
         img.img_txn <- txn;
         img.img_version <- e.version + 1;
@@ -582,10 +582,10 @@ let refresh_committed_images exec ~txn ~wset =
 let spec_outcome_cap = 16_384
 
 let record_spec_outcome exec ~txn ~committed =
-  Hashtbl.replace exec.spec_outcomes txn committed;
+  Util.Itbl.replace exec.spec_outcomes txn committed;
   Queue.push txn exec.spec_outcome_order;
   if Queue.length exec.spec_outcome_order > spec_outcome_cap then
-    Hashtbl.remove exec.spec_outcomes (Queue.pop exec.spec_outcome_order)
+    Util.Itbl.remove exec.spec_outcomes (Queue.pop exec.spec_outcome_order)
 
 (* A queue entry that will not commit: record the outcome, so speculative
    readers of its images fail fast, and drop the images. *)
@@ -601,7 +601,7 @@ let dep_status exec deps =
   let rec go undecided = function
     | [] -> (match undecided with Some txn -> `Undecided txn | None -> `Ok)
     | txn :: rest ->
-      (match Hashtbl.find_opt exec.spec_outcomes txn with
+      (match Util.Itbl.find_opt exec.spec_outcomes txn with
       | Some true -> go undecided rest
       | Some false -> `Failed txn
       | None -> go (Some txn) rest)
@@ -702,7 +702,7 @@ and access root ~oid ~write ~k =
          write image before paying a remote round.  The entry is installed
          [~remote:true] — it must be re-validated at commit exactly like a
          quorum-served read. *)
-      match Hashtbl.find_opt exec.images oid with
+      match Util.Itbl.find_opt exec.images oid with
       | Some img ->
         Metrics.note_speculative_read exec.metrics;
         let pending_dep = not img.img_committed in
@@ -1291,7 +1291,7 @@ and enqueue_commit root ~scope ~value ~shard =
      locally: one enqueues, the rest retry against its fresh image. *)
   let doomed = ref false in
   let check (e : Rwset.entry) =
-    match Hashtbl.find_opt exec.images e.oid with
+    match Util.Itbl.find_opt exec.images e.oid with
     | Some img when img.img_version > e.version && img.img_txn <> root.txn_id
       ->
       doomed := true

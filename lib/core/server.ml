@@ -282,9 +282,9 @@ let trace_vote t ~txn ~commit ~lock_conflict =
    its locally-valid predecessors in the same round; a sequential Commit_req
    is the entry of a batch of one, with nothing before it. *)
 type batch_ctx = {
-  overlay : (Ids.obj_id, int) Hashtbl.t;
+  overlay : int Util.Itbl.t;
       (* oid -> version the latest locally-valid predecessor installs *)
-  chain : (Ids.obj_id, Ids.txn_id) Hashtbl.t;
+  chain : Ids.txn_id Util.Itbl.t;
       (* oid -> batch entry currently holding the in-batch lease *)
   decided : Ids.txn_id array;
       (* transactions whose commit was decided but whose Apply may still be
@@ -293,7 +293,8 @@ type batch_ctx = {
 
 (* The sequential vote's context: no overlay, no chain, nothing decided.
    Shared and never written. *)
-let sequential = { overlay = Hashtbl.create 1; chain = Hashtbl.create 1; decided = [||] }
+let sequential =
+  { overlay = Util.Itbl.create 1; chain = Util.Itbl.create 1; decided = [||] }
 
 let is_decided ctx txn = Array.exists (fun d -> d = txn) ctx.decided
 
@@ -307,7 +308,7 @@ let lease_blocks ctx ~txn ~oid (copy : Store.Replica.copy) ~row ~visible =
   match copy.protected_by with
   | Some { owner; _ } ->
     owner <> txn
-    && (match Hashtbl.find_opt ctx.chain oid with
+    && (match Util.Itbl.find_opt ctx.chain oid with
        | Some holder -> owner <> holder
        | None -> true)
     && not (row > visible && is_decided ctx owner)
@@ -316,7 +317,7 @@ let lease_blocks ctx ~txn ~oid (copy : Store.Replica.copy) ~row ~visible =
 (* The version a row validates against: the in-batch overlay's, else the
    local copy's.  The overlay only ever holds objects hosted here. *)
 let visible ctx ~oid (copy : Store.Replica.copy) =
-  match Hashtbl.find_opt ctx.overlay oid with Some v -> v | None -> copy.version
+  match Util.Itbl.find_opt ctx.overlay oid with Some v -> v | None -> copy.version
 
 (* Row [r] of [dataset] validates: hosted here, not stale, not blocked by a
    lease. *)
@@ -381,7 +382,7 @@ let rec lock_all t ctx ~txn ~round ~expires acquired = function
 and hand_over t ctx ~txn ~round ~expires oid =
   match Store.Replica.lease_of t.store oid with
   | Some { owner; _ }
-    when (match Hashtbl.find_opt ctx.chain oid with
+    when (match Util.Itbl.find_opt ctx.chain oid with
          | Some holder -> owner = holder
          | None -> false)
          || is_decided ctx owner ->
@@ -435,7 +436,7 @@ let handle_batch_commit t ~(txns : Ids.txn_id array) ~(rounds : int array)
   let n = Array.length txns in
   let commits = Array.make n false in
   let conflicts = Array.make n false in
-  let ctx = { overlay = Hashtbl.create 16; chain = Hashtbl.create 16; decided } in
+  let ctx = { overlay = Util.Itbl.create 16; chain = Util.Itbl.create 16; decided } in
   let expires = lease_expiry t in
   for i = 0 to n - 1 do
     let txn = txns.(i) in
@@ -455,8 +456,8 @@ let handle_batch_commit t ~(txns : Ids.txn_id array) ~(rounds : int array)
         for r = wlo to whi - 1 do
           let oid = writes.wr_oids.(r) in
           if Store.Replica.mem t.store oid then begin
-            Hashtbl.replace ctx.chain oid txn;
-            Hashtbl.replace ctx.overlay oid writes.wr_versions.(r)
+            Util.Itbl.replace ctx.chain oid txn;
+            Util.Itbl.replace ctx.overlay oid writes.wr_versions.(r)
           end
         done;
         if !locks <> [] then watch_granted t ~txn ~oids:!locks ~expires;
@@ -539,22 +540,20 @@ let handle_handoff t ~objects =
     (fun (oid, version, value) -> Store.Replica.sync_copy t.store ~oid ~version ~value)
     objects
 
-let request_txn = function
-  | Messages.Read_req { txn; _ } -> Some txn
-  | Messages.Commit_req { txn; _ } -> Some txn
-  | Messages.Apply { txn; _ } -> Some txn
-  | Messages.Release { txn; _ } -> Some txn
-  | Messages.Sync_req | Messages.Status_req _ | Messages.Handoff _ -> None
-  (* per-entry renewal happens inside handle_batch_commit *)
-  | Messages.Batch_commit_req _ -> None
-
 let handle t ~src:_ request =
   (* Any traffic from a transaction is a heartbeat for the leases it holds
      here: a slow-but-alive coordinator keeps its locks. *)
-  if leases_on t then
-    Option.iter
-      (fun txn -> Store.Replica.renew t.store ~txn ~expires:(lease_expiry t))
-      (request_txn request);
+  if leases_on t then begin
+    match request with
+    | Messages.Read_req { txn; _ }
+    | Messages.Commit_req { txn; _ }
+    | Messages.Apply { txn; _ }
+    | Messages.Release { txn; _ } ->
+      Store.Replica.renew t.store ~txn ~expires:(lease_expiry t)
+    | Messages.Sync_req | Messages.Status_req _ | Messages.Handoff _ -> ()
+    (* per-entry renewal happens inside handle_batch_commit *)
+    | Messages.Batch_commit_req _ -> ()
+  end;
   match request with
   | Messages.Read_req { txn; oid; dataset; write_intent; record } ->
     handle_read t ~txn ~oid ~dataset ~write_intent ~record

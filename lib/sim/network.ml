@@ -76,7 +76,8 @@ type 'msg t = {
   busy_until : float array;
   failed : bool array;
   mutable faults : fault_plan;
-  link_faults : (int * int, fault_plan) Hashtbl.t;
+  link_faults : fault_plan option array;
+      (* per-link overrides, [src * nodes + dst], set symmetrically *)
   mutable groups : int array option; (* partition: group id per node *)
   mutable sent : int;
   mutable dropped : int;
@@ -85,7 +86,7 @@ type 'msg t = {
       (* indexed by Kind.t; pre-sized to [Kind.registered ()] at creation,
          grown (rarely) if a kind is interned after that *)
   tracer : Obs.Tracer.t; (* cached from the engine; Tracer.null when off *)
-  mutable batching : bool; (* [multicast_batch] expands eagerly when false *)
+  batching : bool; (* [multicast_batch] expands eagerly when false *)
   plan_delays : float array;
       (* [plan_send] scratch: delays of the deliveries (0..2) staged by the
          last call.  A buffer instead of a callback so the per-message fast
@@ -115,7 +116,7 @@ let create ~engine ~topology ?(service_time = 0.25) ?(jitter = 0.1) ?(seed = 7)
     busy_until = Array.make n 0.;
     failed = Array.make n false;
     faults = no_faults;
-    link_faults = Hashtbl.create 8;
+    link_faults = Array.make (n * n) None;
     groups = None;
     sent = 0;
     dropped = 0;
@@ -129,9 +130,6 @@ let create ~engine ~topology ?(service_time = 0.25) ?(jitter = 0.1) ?(seed = 7)
     wave_free = [||];
     wave_free_len = 0;
   }
-
-let set_batch_fanout t b = t.batching <- b
-let batch_fanout t = t.batching
 
 let engine t = t.engine
 let topology t = t.topology
@@ -153,9 +151,15 @@ let alive_nodes t =
 let set_faults t plan = t.faults <- plan
 let faults t = t.faults
 
-let link_key a b = (Stdlib.min a b, Stdlib.max a b)
-let set_link_faults t ~a ~b plan = Hashtbl.replace t.link_faults (link_key a b) plan
-let clear_link_faults t ~a ~b = Hashtbl.remove t.link_faults (link_key a b)
+let set_link t ~a ~b plan =
+  let n = nodes t in
+  if a < 0 || a >= n || b < 0 || b >= n then
+    invalid_arg (Printf.sprintf "Network: link %d-%d out of range" a b);
+  t.link_faults.((a * n) + b) <- plan;
+  t.link_faults.((b * n) + a) <- plan
+
+let set_link_faults t ~a ~b plan = set_link t ~a ~b (Some plan)
+let clear_link_faults t ~a ~b = set_link t ~a ~b None
 
 (* Symmetric partition into [groups]; nodes not named in any group form one
    implicit extra group (so [partition t [[0;1]]] cuts {0,1} off from the
@@ -183,7 +187,7 @@ let reachable t ~src ~dst =
   | Some assignment -> src = dst || assignment.(src) = assignment.(dst)
 
 let plan_for t ~src ~dst =
-  match Hashtbl.find_opt t.link_faults (link_key src dst) with
+  match t.link_faults.((src * nodes t) + dst) with
   | Some plan -> plan
   | None -> t.faults
 
@@ -457,9 +461,6 @@ let send t ?(kind = Kind.other) ~src ~dst msg =
       Engine.schedule t.engine ~delay:t.plan_delays.(k) e.e_fire
     done
   end
-
-let multicast t ?kind ~src ~dsts msg =
-  List.iter (fun dst -> send t ?kind ~src ~dst msg) dsts
 
 (* Insertion sort by (time, seq) — wave entries are near-sorted already
    (same base topology row) and tiny, so this beats a polymorphic sort

@@ -86,25 +86,17 @@ val send : 'msg t -> ?kind:Kind.t -> src:int -> dst:int -> 'msg -> unit
     (e.g. the interned ["read_req"]); unlabeled messages count as
     {!Kind.other}. *)
 
-val multicast : 'msg t -> ?kind:Kind.t -> src:int -> dsts:int list -> 'msg -> unit
-(** [send] to every destination (self included if listed). *)
-
 val multicast_batch :
   'msg t -> ?kind:Kind.t -> src:int -> dsts:int list -> 'msg -> unit
-(** Like {!multicast}, but the whole fan-out wave costs one resident
-    engine event (plus one per actual handler invocation) instead of one
-    per destination: per-destination delivery times, fault draws,
-    accounting and traces are all fixed eagerly at multicast time — in
-    [dsts] order, exactly as the [send] loop would have — and only the
-    engine events are materialised lazily, each firing with the (time,
-    seq) the eager loop would have used.  Byte-identical to {!multicast}
-    per seed; see {!create}'s [batch_fanout] to fall back to the eager
-    expansion. *)
-
-val set_batch_fanout : 'msg t -> bool -> unit
-(** Flip the {!multicast_batch} strategy mid-run (testing hook). *)
-
-val batch_fanout : 'msg t -> bool
+(** {!send} to every destination in [dsts] (self included if listed), with
+    the whole fan-out wave costing one resident engine event (plus one per
+    actual handler invocation) instead of one per destination:
+    per-destination delivery times, fault draws, accounting and traces are
+    all fixed eagerly at multicast time — in [dsts] order, exactly as a
+    [send] loop would have — and only the engine events are materialised
+    lazily, each firing with the (time, seq) the eager loop would have
+    used.  Byte-identical to a [send] loop per seed; see {!create}'s
+    [batch_fanout] to fall back to the eager expansion. *)
 
 val fail : 'msg t -> int -> unit
 (** Mark a node fail-stop: it stops sending, receiving, and processing. *)
@@ -120,7 +112,8 @@ val set_faults : 'msg t -> fault_plan -> unit
 val faults : 'msg t -> fault_plan
 
 val set_link_faults : 'msg t -> a:int -> b:int -> fault_plan -> unit
-(** Override the plan for the (symmetric) link between [a] and [b]. *)
+(** Override the plan for the (symmetric) link between [a] and [b].
+    @raise Invalid_argument if either node is out of range. *)
 
 val clear_link_faults : 'msg t -> a:int -> b:int -> unit
 

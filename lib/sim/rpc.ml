@@ -27,7 +27,7 @@ type ('req, 'rep) t = {
   network : ('req, 'rep) envelope Network.t;
   lane : Engine.lane; (* multicall timeouts: one fixed delay per caller *)
   servers : (src:int -> 'req -> 'rep option) option array;
-  pending : (int, ('req, 'rep) pending) Hashtbl.t;
+  pending : ('req, 'rep) pending Util.Itbl.t;
   mutable next_rid : int;
   mutable give_ups : int;
   mutable fenced : int;
@@ -84,7 +84,7 @@ let handle_envelope t ~node ~src env =
       trace_fence t ~node ~src ~msg_epoch:epoch ~cur_epoch:cur
     end
     else begin
-      match Hashtbl.find_opt t.pending rid with
+      match Util.Itbl.find_opt t.pending rid with
       | None -> () (* request already completed or timed out *)
       | Some p ->
         if List.mem src p.awaiting then begin
@@ -92,7 +92,7 @@ let handle_envelope t ~node ~src env =
           p.replies <- (src, payload) :: p.replies;
           if p.awaiting = [] then begin
             p.finished <- true;
-            Hashtbl.remove t.pending rid;
+            Util.Itbl.remove t.pending rid;
             p.complete ~replies:(List.rev p.replies) ~missing:[]
           end
         end
@@ -104,7 +104,7 @@ let create ?(seed = 0) ?(retry_base = 0.) ?(retry_max = 0.) ~network () =
       network;
       lane = Engine.lane (Network.engine network);
       servers = Array.make (Network.nodes network) None;
-      pending = Hashtbl.create 64;
+      pending = Util.Itbl.create 64;
       next_rid = 0;
       give_ups = 0;
       fenced = 0;
@@ -137,14 +137,14 @@ let multicall t ?kind ~src ~dsts ~timeout req ~on_done =
   let p = { awaiting = dsts; replies = []; finished = false; complete = on_done } in
   if dsts = [] then on_done ~replies:[] ~missing:[]
   else begin
-    Hashtbl.replace t.pending rid p;
+    Util.Itbl.replace t.pending rid p;
     Network.multicast_batch t.network ?kind ~src ~dsts
       (Request { rid; payload = req; wants_reply = true; epoch = t.epoch_of req });
     let engine = Network.engine t.network in
     Engine.schedule_lane t.lane ~time:(Engine.now engine +. timeout) (fun () ->
         if not p.finished then begin
           p.finished <- true;
-          Hashtbl.remove t.pending rid;
+          Util.Itbl.remove t.pending rid;
           if Obs.Tracer.enabled t.tracer then
             Obs.Tracer.emit8 t.tracer ~time:(Engine.now engine)
               ~kind:Obs.Sem.rpc_timeout ~node:src ~txn:(-1) ~oid:(-1)

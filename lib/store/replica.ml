@@ -21,6 +21,8 @@ type copy = {
   mutable version : int;
   mutable value : Value.t;
   mutable protected_by : lease option;
+  mutable readers : int list;  (* PR list *)
+  mutable writers : int list;  (* PW list *)
 }
 
 (* PR/PW lists are bounded: entries are removed on commit/abort
@@ -34,13 +36,15 @@ let pr_pw_cap = 64
    lease horizon. *)
 let applied_cap = 4096
 
-type lists = { mutable readers : int list; mutable writers : int list }
-
+(* Copies live in one array indexed by oid: replica lookups are the
+   protocol's innermost loop (every read, Rqv entry, vote and Apply row), so
+   they cost an array load instead of a hash, a polymorphic compare and an
+   option allocation.  A slot is [None] for an oid this replica does not
+   host (another shard's, or never installed). *)
 type t = {
-  objects : (int, copy) Hashtbl.t;
-  lists : (int, lists) Hashtbl.t;
-  by_txn : (int, int list ref) Hashtbl.t;  (* txn -> oids it holds leases on *)
-  applied : (int, unit) Hashtbl.t;
+  mutable slots : copy option array;  (* indexed by oid; grown on demand *)
+  by_txn : int list ref Util.Itbl.t;  (* txn -> oids it holds leases on *)
+  applied : unit Util.Itbl.t;
   applied_order : int Queue.t;
   (* Full write rows of recently-applied transactions, including rows for
      objects this replica does not host.  A cross-shard transaction's Apply
@@ -48,13 +52,13 @@ type t = {
      foreign rows lets a status query from another shard's lease holder be
      answered with the very write it must adopt to rescue the commit.
      Evicted in lockstep with [applied] (same FIFO, same horizon). *)
-  retained : (int, (int * int * Value.t) list) Hashtbl.t;
+  retained : (int * int * Value.t) list Util.Itbl.t;
   (* Cross-shard termination peers, from Commit_req.peers: the other
      participant shards' quorum members a status round for this txn must
      also ask.  Transient like the leases it serves (cleared on crash wipe);
      entries are added only alongside a granted lease and removed when the
      owner's last lease here goes. *)
-  xpeers : (int, int list) Hashtbl.t;
+  xpeers : int list Util.Itbl.t;
   (* Tracing: the store layer has no engine handle, so the cluster injects
      the tracer plus a clock closure and the hosting node id after
      construction (see [instrument]).  All three stay inert defaults when
@@ -71,13 +75,12 @@ type t = {
 
 let create () =
   {
-    objects = Hashtbl.create 256;
-    lists = Hashtbl.create 256;
-    by_txn = Hashtbl.create 16;
-    applied = Hashtbl.create 64;
+    slots = [||];
+    by_txn = Util.Itbl.create 16;
+    applied = Util.Itbl.create 64;
     applied_order = Queue.create ();
-    retained = Hashtbl.create 64;
-    xpeers = Hashtbl.create 16;
+    retained = Util.Itbl.create 64;
+    xpeers = Util.Itbl.create 16;
     tracer = Obs.Tracer.null;
     trace_node = -1;
     clock = (fun () -> 0.);
@@ -91,20 +94,44 @@ let instrument t ~tracer ~node ~clock =
 
 let set_on_restore t f = t.on_restore <- f
 
-let trace_lease t ~ekind ~oid ~txn ?(a = -1) ?(x = 0.) () =
+(* Labelled, not optional, arguments: an optional [a] or [x] would box a
+   [Some] on every lock operation, traced or not. *)
+let trace_lease t ~ekind ~oid ~txn ~a ~x =
   if Obs.Tracer.enabled t.tracer then
     Obs.Tracer.emit t.tracer ~time:(t.clock ()) ~kind:ekind ~node:t.trace_node
       ~txn ~oid ~a ~x ()
 
-let ensure t ~oid ~init =
-  if not (Hashtbl.mem t.objects oid) then
-    Hashtbl.replace t.objects oid { version = 0; value = init; protected_by = None }
+(* [lease.grant] / [lease.renew] carry the new expiry; [lease.release]
+   carries its cause in [a]. *)
+let trace_expiry t ~ekind ~oid ~txn expires =
+  trace_lease t ~ekind ~oid ~txn ~a:(-1) ~x:expires
+
+let trace_release t ~oid ~txn ~a =
+  trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn ~a ~x:0.
+
+(* Store a fresh copy of [oid], growing the array to cover it (doubling,
+   so installs in oid order grow it O(log n) times). *)
+let put t ~oid ~version ~value =
+  if oid < 0 then invalid_arg (Printf.sprintf "Store: negative object id %d" oid);
+  let len = Array.length t.slots in
+  if oid >= len then begin
+    let grown = Array.make (Stdlib.max (oid + 1) (2 * len)) None in
+    Array.blit t.slots 0 grown 0 len;
+    t.slots <- grown
+  end;
+  t.slots.(oid) <-
+    Some { version; value; protected_by = None; readers = []; writers = [] }
+
+let find t oid =
+  if oid >= 0 && oid < Array.length t.slots then Array.unsafe_get t.slots oid
+  else None
+
+let mem t oid = Option.is_some (find t oid)
 
 let install t ~oid ~init =
-  Hashtbl.replace t.objects oid { version = 0; value = init; protected_by = None }
+  put t ~oid ~version:0 ~value:init
 
-let mem t oid = Hashtbl.mem t.objects oid
-let find t oid = Hashtbl.find_opt t.objects oid
+let ensure t ~oid ~init = if not (mem t oid) then install t ~oid ~init
 
 let get t oid =
   match find t oid with
@@ -123,19 +150,19 @@ let lease_of t oid = (get t oid).protected_by
 (* --- lease index -------------------------------------------------------- *)
 
 let index_add t ~oid ~txn =
-  match Hashtbl.find_opt t.by_txn txn with
+  match Util.Itbl.find_opt t.by_txn txn with
   | Some oids -> if not (List.mem oid !oids) then oids := oid :: !oids
-  | None -> Hashtbl.replace t.by_txn txn (ref [ oid ])
+  | None -> Util.Itbl.replace t.by_txn txn (ref [ oid ])
 
 let index_remove t ~oid ~txn =
-  match Hashtbl.find_opt t.by_txn txn with
+  match Util.Itbl.find_opt t.by_txn txn with
   | None -> ()
   | Some oids ->
     oids := List.filter (fun o -> o <> oid) !oids;
-    if !oids = [] then Hashtbl.remove t.by_txn txn
+    if !oids = [] then Util.Itbl.remove t.by_txn txn
 
 let leased_oids t ~txn =
-  match Hashtbl.find_opt t.by_txn txn with Some oids -> !oids | None -> []
+  match Util.Itbl.find_opt t.by_txn txn with Some oids -> !oids | None -> []
 
 let try_lock ?(expires = Float.infinity) ?(round = 0) t ~oid ~txn =
   let copy = get t oid in
@@ -143,7 +170,7 @@ let try_lock ?(expires = Float.infinity) ?(round = 0) t ~oid ~txn =
   | None ->
     copy.protected_by <- Some { owner = txn; expires; round; prev = None };
     index_add t ~oid ~txn;
-    trace_lease t ~ekind:Obs.Sem.lease_grant ~oid ~txn ~x:expires ();
+    trace_expiry t ~ekind:Obs.Sem.lease_grant ~oid ~txn expires;
     true
   | Some lease ->
     if lease.owner = txn then begin
@@ -152,7 +179,7 @@ let try_lock ?(expires = Float.infinity) ?(round = 0) t ~oid ~txn =
          the round back, so keep the highest seen. *)
       lease.expires <- Float.max lease.expires expires;
       lease.round <- Stdlib.max lease.round round;
-      trace_lease t ~ekind:Obs.Sem.lease_renew ~oid ~txn ~x:lease.expires ();
+      trace_expiry t ~ekind:Obs.Sem.lease_renew ~oid ~txn lease.expires;
       true
     end
     else false
@@ -169,8 +196,8 @@ let handover ?(expires = Float.infinity) ?(round = 0) t ~oid ~prev_owner ~txn =
     copy.protected_by <- Some { owner = txn; expires; round; prev = Some lease };
     index_remove t ~oid ~txn:prev_owner;
     index_add t ~oid ~txn;
-    trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:prev_owner ~a:3 ();
-    trace_lease t ~ekind:Obs.Sem.lease_grant ~oid ~txn ~x:expires ();
+    trace_release t ~oid ~txn:prev_owner ~a:3;
+    trace_expiry t ~ekind:Obs.Sem.lease_grant ~oid ~txn expires;
     true
   | Some _ | None -> try_lock ~expires ~round t ~oid ~txn
 
@@ -186,12 +213,12 @@ let unlock ?round ?(restore = true) t ~oid ~txn =
     in
     if not stale then begin
       index_remove t ~oid ~txn;
-      trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn ~a:0 ();
+      trace_release t ~oid ~txn ~a:0;
       match (if restore then lease.prev else None) with
       | Some p ->
         copy.protected_by <- Some p;
         index_add t ~oid ~txn:p.owner;
-        trace_lease t ~ekind:Obs.Sem.lease_grant ~oid ~txn:p.owner ~x:p.expires ();
+        trace_expiry t ~ekind:Obs.Sem.lease_grant ~oid ~txn:p.owner p.expires;
         t.on_restore ~oid ~owner:p.owner ~expires:p.expires
       | None -> copy.protected_by <- None
     end
@@ -199,53 +226,64 @@ let unlock ?round ?(restore = true) t ~oid ~txn =
 
 (* Heartbeat renewal: any traffic from [txn] pushes the expiry of every
    lease it holds here out to [expires] (never shortens). *)
-let renew t ~txn ~expires =
-  List.iter
-    (fun oid ->
-      match (get t oid).protected_by with
-      | Some lease when lease.owner = txn ->
-        lease.expires <- Float.max lease.expires expires;
-        trace_lease t ~ekind:Obs.Sem.lease_renew ~oid ~txn ~x:lease.expires ()
-      | Some _ | None -> ())
-    (leased_oids t ~txn)
+let rec renew_oids t ~txn ~expires = function
+  | [] -> ()
+  | oid :: rest ->
+    (match (get t oid).protected_by with
+    | Some lease when lease.owner = txn ->
+      lease.expires <- Float.max lease.expires expires;
+      trace_expiry t ~ekind:Obs.Sem.lease_renew ~oid ~txn lease.expires
+    | Some _ | None -> ());
+    renew_oids t ~txn ~expires rest
+
+let renew t ~txn ~expires = renew_oids t ~txn ~expires (leased_oids t ~txn)
+
+(* Walk the hosted copies in descending oid order, so a consing [f] builds
+   its list in ascending order. *)
+let fold_copies_desc t f acc =
+  let acc = ref acc in
+  for oid = Array.length t.slots - 1 downto 0 do
+    match t.slots.(oid) with Some copy -> acc := f oid copy !acc | None -> ()
+  done;
+  !acc
 
 let held_leases t =
-  Hashtbl.fold
+  fold_copies_desc t
     (fun oid copy acc ->
       match copy.protected_by with
       | Some lease -> (oid, lease.owner, lease.expires) :: acc
       | None -> acc)
-    t.objects []
+    []
 
 (* --- applied-transaction evidence --------------------------------------- *)
 
 let note_applied t ~txn =
-  if not (Hashtbl.mem t.applied txn) then begin
-    Hashtbl.replace t.applied txn ();
+  if not (Util.Itbl.mem t.applied txn) then begin
+    Util.Itbl.replace t.applied txn ();
     Queue.push txn t.applied_order;
     if Queue.length t.applied_order > applied_cap then begin
       let evicted = Queue.pop t.applied_order in
-      Hashtbl.remove t.applied evicted;
-      Hashtbl.remove t.retained evicted
+      Util.Itbl.remove t.applied evicted;
+      Util.Itbl.remove t.retained evicted
     end
   end
 
-let was_applied t ~txn = Hashtbl.mem t.applied txn
+let was_applied t ~txn = Util.Itbl.mem t.applied txn
 
 let retain_writes t ~txn rows =
-  if rows <> [] && not (Hashtbl.mem t.retained txn) then
-    Hashtbl.replace t.retained txn rows
+  if rows <> [] && not (Util.Itbl.mem t.retained txn) then
+    Util.Itbl.replace t.retained txn rows
 
 let retained_writes t ~txn =
-  match Hashtbl.find_opt t.retained txn with Some rows -> rows | None -> []
+  match Util.Itbl.find_opt t.retained txn with Some rows -> rows | None -> []
 
 let set_status_peers t ~txn peers =
-  if peers <> [] then Hashtbl.replace t.xpeers txn peers
+  if peers <> [] then Util.Itbl.replace t.xpeers txn peers
 
 let status_peers_of t ~txn =
-  match Hashtbl.find_opt t.xpeers txn with Some peers -> peers | None -> []
+  match Util.Itbl.find_opt t.xpeers txn with Some peers -> peers | None -> []
 
-let clear_status_peers t ~txn = Hashtbl.remove t.xpeers txn
+let clear_status_peers t ~txn = Util.Itbl.remove t.xpeers txn
 
 let apply t ~oid ~version ~value ~txn =
   let copy = get t oid in
@@ -272,14 +310,6 @@ let apply t ~oid ~version ~value ~txn =
   | None -> ());
   unlock ~restore:false t ~oid ~txn
 
-let lists_of t oid =
-  match Hashtbl.find_opt t.lists oid with
-  | Some l -> l
-  | None ->
-    let l = { readers = []; writers = [] } in
-    Hashtbl.replace t.lists oid l;
-    l
-
 let bounded_add txn entries =
   if List.mem txn entries then entries
   else begin
@@ -290,44 +320,43 @@ let bounded_add txn entries =
   end
 
 let add_reader t ~oid ~txn =
-  let l = lists_of t oid in
-  l.readers <- bounded_add txn l.readers
+  let copy = get t oid in
+  copy.readers <- bounded_add txn copy.readers
 
 let add_writer t ~oid ~txn =
-  let l = lists_of t oid in
-  l.writers <- bounded_add txn l.writers
+  let copy = get t oid in
+  copy.writers <- bounded_add txn copy.writers
 
 let remove_txn t ~oid ~txn =
-  match Hashtbl.find_opt t.lists oid with
+  match find t oid with
   | None -> ()
-  | Some l ->
-    l.readers <- List.filter (fun id -> id <> txn) l.readers;
-    l.writers <- List.filter (fun id -> id <> txn) l.writers
+  | Some copy ->
+    copy.readers <- List.filter (fun id -> id <> txn) copy.readers;
+    copy.writers <- List.filter (fun id -> id <> txn) copy.writers
 
-let readers t oid = match Hashtbl.find_opt t.lists oid with None -> [] | Some l -> l.readers
-let writers t oid = match Hashtbl.find_opt t.lists oid with None -> [] | Some l -> l.writers
-let object_count t = Hashtbl.length t.objects
+let readers t oid = match find t oid with Some copy -> copy.readers | None -> []
+let writers t oid = match find t oid with Some copy -> copy.writers | None -> []
 
 (* --- crash-recovery state transfer ------------------------------------- *)
 
 (* Committed state only: locks and PR/PW lists are transient and are not
    shipped to a recovering peer. *)
 let dump t =
-  Hashtbl.fold (fun oid copy acc -> (oid, copy.version, copy.value) :: acc) t.objects []
+  fold_copies_desc t (fun oid copy acc -> (oid, copy.version, copy.value) :: acc) []
 
 (* Merge one copy received from a sync quorum: adopt it if strictly newer
    (a newer version also invalidates any stale local lease), install it if
    the object is unknown locally. *)
 let sync_copy t ~oid ~version ~value =
-  match Hashtbl.find_opt t.objects oid with
-  | None -> Hashtbl.replace t.objects oid { version; value; protected_by = None }
+  match find t oid with
+  | None -> put t ~oid ~version ~value
   | Some copy ->
     if version > copy.version then begin
       begin
         match copy.protected_by with
         | Some lease ->
           index_remove t ~oid ~txn:lease.owner;
-          trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:lease.owner ~a:1 ()
+          trace_release t ~oid ~txn:lease.owner ~a:1
         | None -> ()
       end;
       copy.version <- version;
@@ -339,17 +368,21 @@ let sync_copy t ~oid ~version ~value =
    registrations and apply evidence die with it.  Called when the node
    rejoins. *)
 let reset_transients t =
-  Hashtbl.iter
-    (fun oid copy ->
-      (match copy.protected_by with
-      | Some lease ->
-        trace_lease t ~ekind:Obs.Sem.lease_release ~oid ~txn:lease.owner ~a:2 ()
-      | None -> ());
-      copy.protected_by <- None)
-    t.objects;
-  Hashtbl.reset t.lists;
-  Hashtbl.reset t.by_txn;
-  Hashtbl.reset t.applied;
-  Hashtbl.reset t.retained;
-  Hashtbl.reset t.xpeers;
+  Array.iteri
+    (fun oid slot ->
+      match slot with
+      | Some copy ->
+        (match copy.protected_by with
+        | Some lease ->
+          trace_release t ~oid ~txn:lease.owner ~a:2;
+          copy.protected_by <- None
+        | None -> ());
+        copy.readers <- [];
+        copy.writers <- []
+      | None -> ())
+    t.slots;
+  Util.Itbl.reset t.by_txn;
+  Util.Itbl.reset t.applied;
+  Util.Itbl.reset t.retained;
+  Util.Itbl.reset t.xpeers;
   Queue.clear t.applied_order

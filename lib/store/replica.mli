@@ -3,7 +3,13 @@
     Every QR node holds a copy of every object (paper §II property 1): a
     value, a monotonically increasing version, a [protected] lock set during
     the vote phase of 2PC, and the potential-readers / potential-writers
-    lists (PR/PW) the paper's contention management bookkeeping uses. *)
+    lists (PR/PW) of the paper's contention-management bookkeeping (the
+    protocol records them; only tests read them back).
+
+    Copies live in one array indexed by object id: object ids are dense
+    (minted from 0), so a lookup is an array load.  A sharded replica hosts
+    a subset; the ids it does not host have empty slots.  The PR/PW lists
+    of an object live in its copy. *)
 
 type lease = {
   owner : int;
@@ -27,6 +33,8 @@ type copy = {
   mutable version : int;
   mutable value : Value.t;
   mutable protected_by : lease option;  (** committing transaction's lease *)
+  mutable readers : int list;  (** PR list; see {!add_reader} *)
+  mutable writers : int list;  (** PW list; see {!add_writer} *)
 }
 
 type t
@@ -44,11 +52,16 @@ val ensure : t -> oid:int -> init:Value.t -> unit
 (** Install the object with version 0 if absent; no-op otherwise. *)
 
 val install : t -> oid:int -> init:Value.t -> unit
-(** Unconditionally (re)install the object with version 0 and no lock;
-    setup-time only — never call once transactions are running. *)
+(** Unconditionally (re)install the object with version 0, no lock and
+    empty PR/PW lists; setup-time only — never call once transactions are
+    running.  @raise Invalid_argument on a negative [oid]. *)
 
 val mem : t -> int -> bool
+
 val find : t -> int -> copy option
+(** The hosted copy, or [None] for an id never installed here — including
+    ids past the end of the slot array and negative ids.  Allocates
+    nothing. *)
 
 val get : t -> int -> copy
 (** @raise Invalid_argument if the object was never installed. *)
@@ -102,7 +115,8 @@ val leased_oids : t -> txn:int -> int list
 (** Objects currently leased by [txn]. *)
 
 val held_leases : t -> (int * int * float) list
-(** Every live lease as [(oid, owner txn, expires)] — stall diagnostics. *)
+(** Every live lease as [(oid, owner txn, expires)], in ascending oid
+    order — stall diagnostics. *)
 
 val note_applied : t -> txn:int -> unit
 (** Record that [txn]'s 2PC second phase reached this replica (bounded
@@ -137,20 +151,23 @@ val apply : t -> oid:int -> version:int -> value:Value.t -> txn:int -> unit
     lock if [txn] held it, and recording [txn] as applied. *)
 
 val add_reader : t -> oid:int -> txn:int -> unit
+(** Record [txn] on the PR list of [oid] (bounded; the oldest entry is
+    evicted).  @raise Invalid_argument on missing object. *)
+
 val add_writer : t -> oid:int -> txn:int -> unit
+(** As {!add_reader}, on the PW list. *)
 
 val remove_txn : t -> oid:int -> txn:int -> unit
-(** Drop [txn] from the PR/PW lists of [oid]. *)
+(** Drop [txn] from the PR/PW lists of [oid]; no-op for an object not
+    hosted here. *)
 
 val readers : t -> int -> int list
 val writers : t -> int -> int list
 
-val object_count : t -> int
-
 val dump : t -> (int * int * Value.t) list
-(** Snapshot of committed state as [(oid, version, value)] triples — the
-    payload of a crash-recovery [Sync_rep].  Locks and PR/PW lists are
-    transient and not included. *)
+(** Snapshot of committed state as [(oid, version, value)] triples, one per
+    hosted object in ascending oid order — the payload of a crash-recovery
+    [Sync_rep].  Locks and PR/PW lists are transient and not included. *)
 
 val sync_copy : t -> oid:int -> version:int -> value:Value.t -> unit
 (** Merge one copy received during catch-up: adopt it if strictly newer
@@ -159,4 +176,6 @@ val sync_copy : t -> oid:int -> version:int -> value:Value.t -> unit
 
 val reset_transients : t -> unit
 (** Clear every lock and all PR/PW lists — a crashed process loses its
-    volatile state; called when the node rejoins after recovery. *)
+    volatile state; called when the node rejoins after recovery.  Versions
+    and values are kept.  Each cleared lock emits a [lease.release] trace
+    event ([a = 2]), in ascending oid order. *)

@@ -86,6 +86,78 @@ let test_replica_pr_pw () =
   done;
   Alcotest.(check bool) "bounded" true (List.length (Replica.readers store 1) <= 64)
 
+(* Copies live in a dense array indexed by oid; a sharded replica hosts a
+   sparse subset and leaves the rest empty. *)
+let test_replica_sparse_slots () =
+  let store = Replica.create () in
+  List.iter (fun oid -> Replica.install store ~oid ~init:(Value.Int oid)) [ 9; 2; 5 ];
+  Alcotest.(check (list int)) "hosted" [ 2; 5; 9 ]
+    (List.filter (Replica.mem store) (List.init 12 Fun.id));
+  List.iter
+    (fun oid ->
+      Alcotest.(check bool) (Printf.sprintf "find %d" oid) true
+        (Option.is_none (Replica.find store oid));
+      Alcotest.(check bool) (Printf.sprintf "mem %d" oid) false (Replica.mem store oid))
+    [ 3 (* never installed, in range *); 10; 1_000_000 (* past the end *); -1 ];
+  Alcotest.check_raises "get of an empty slot"
+    (Invalid_argument "Store.get: unknown object 3")
+    (fun () -> ignore (Replica.get store 3));
+  Alcotest.check_raises "get past the end"
+    (Invalid_argument "Store.get: unknown object 1000")
+    (fun () -> ignore (Replica.get store 1000));
+  Alcotest.check_raises "version of a negative oid"
+    (Invalid_argument "Store.get: unknown object -1")
+    (fun () -> ignore (Replica.version store (-1)));
+  (* Growing past the current end keeps the copies already installed. *)
+  Replica.apply store ~oid:9 ~version:4 ~value:(Value.Int 90) ~txn:1;
+  Replica.sync_copy store ~oid:300 ~version:7 ~value:(Value.Int 3);
+  Replica.install store ~oid:5000 ~init:(Value.Int 50);
+  Alcotest.(check int) "synced past the end" 7 (Replica.version store 300);
+  Alcotest.(check int) "installed past the end" 0 (Replica.version store 5000);
+  Alcotest.(check int) "kept across growth" 4 (Replica.version store 9);
+  Alcotest.check value_testable "value kept across growth" (Value.Int 2)
+    (Replica.get store 2).value;
+  Alcotest.(check bool) "gap stays empty" false (Replica.mem store 299);
+  Alcotest.(check (list (triple int int value_testable)))
+    "dump: each hosted oid once, ascending"
+    [
+      (2, 0, Value.Int 2);
+      (5, 0, Value.Int 5);
+      (9, 4, Value.Int 90);
+      (300, 7, Value.Int 3);
+      (5000, 0, Value.Int 50);
+    ]
+    (Replica.dump store)
+
+let test_replica_held_leases_order () =
+  let store = Replica.create () in
+  List.iter (fun oid -> Replica.install store ~oid ~init:Value.Unit) [ 40; 3; 17; 8 ];
+  List.iter
+    (fun (oid, txn) -> ignore (Replica.try_lock ~expires:100. store ~oid ~txn))
+    [ (40, 1); (3, 2); (17, 1) ];
+  Alcotest.(check (list (triple int int (float 0.)))) "ascending oid"
+    [ (3, 2, 100.); (17, 1, 100.); (40, 1, 100.) ]
+    (Replica.held_leases store)
+
+let test_replica_reset_transients () =
+  let store = Replica.create () in
+  List.iter (fun oid -> Replica.install store ~oid ~init:(Value.Int 0)) [ 1; 6 ];
+  Replica.apply store ~oid:6 ~version:2 ~value:(Value.Int 12) ~txn:3;
+  Alcotest.(check bool) "lock" true (Replica.try_lock store ~oid:1 ~txn:4);
+  Alcotest.(check bool) "lock" true (Replica.try_lock store ~oid:6 ~txn:5);
+  Replica.add_reader store ~oid:1 ~txn:7;
+  Replica.add_writer store ~oid:6 ~txn:8;
+  Replica.reset_transients store;
+  Alcotest.(check (list (triple int int (float 0.)))) "no leases" []
+    (Replica.held_leases store);
+  Alcotest.(check (list int)) "lease index cleared" [] (Replica.leased_oids store ~txn:4);
+  Alcotest.(check (list int)) "readers cleared" [] (Replica.readers store 1);
+  Alcotest.(check (list int)) "writers cleared" [] (Replica.writers store 6);
+  Alcotest.(check bool) "apply evidence cleared" false (Replica.was_applied store ~txn:3);
+  Alcotest.(check int) "version kept" 2 (Replica.version store 6);
+  Alcotest.check value_testable "value kept" (Value.Int 12) (Replica.get store 6).value;
+  Alcotest.(check bool) "relockable" true (Replica.try_lock store ~oid:1 ~txn:9)
+
 let test_multiversion () =
   let mv = Multiversion.create ~history_limit:3 () in
   Multiversion.ensure mv ~oid:1 ~init:(Value.Int 0);
@@ -115,6 +187,9 @@ let suite =
     Alcotest.test_case "replica versioning" `Quick test_replica_versioning;
     Alcotest.test_case "replica locks" `Quick test_replica_locks;
     Alcotest.test_case "replica PR/PW lists" `Quick test_replica_pr_pw;
+    Alcotest.test_case "replica sparse slots" `Quick test_replica_sparse_slots;
+    Alcotest.test_case "replica held leases order" `Quick test_replica_held_leases_order;
+    Alcotest.test_case "replica reset transients" `Quick test_replica_reset_transients;
     Alcotest.test_case "multiversion history" `Quick test_multiversion;
   ]
   @ [ QCheck_alcotest.to_alcotest value_equal_reflexive ]

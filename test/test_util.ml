@@ -131,6 +131,45 @@ let test_table_render () =
   let csv = Util.Table.render_csv t in
   Alcotest.(check bool) "csv header" true (contains csv "name,value")
 
+(* [Util.Itbl] must lay out and fold its bindings exactly like the generic
+   [Hashtbl]: the int-keyed tables on the message path switched to it
+   without changing any protocol output, and that rests on this. *)
+let test_itbl_fold_order () =
+  let rng = Util.Rng.create 7 in
+  let generic = Hashtbl.create 16 and itbl = Util.Itbl.create 16 in
+  let special =
+    [| 0; -1; -42; min_int; max_int; 1 lsl 31; (1 lsl 31) + 5; 1 lsl 40; -(1 lsl 33) |]
+  in
+  for i = 1 to 5000 do
+    let key =
+      match Util.Rng.int rng 3 with
+      | 0 -> special.(Util.Rng.int rng (Array.length special))
+      | 1 -> Util.Rng.int rng 300 - 150
+      | _ -> Util.Rng.int rng 1_000_000_000 * 7
+    in
+    if Util.Rng.int rng 4 = 0 then begin
+      Hashtbl.remove generic key;
+      Util.Itbl.remove itbl key
+    end
+    else begin
+      Hashtbl.replace generic key i;
+      Util.Itbl.replace itbl key i
+    end
+  done;
+  let bindings fold tbl = List.rev (fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  Alcotest.(check int) "same size" (Hashtbl.length generic) (Util.Itbl.length itbl);
+  Alcotest.(check (list (pair int int))) "same fold order"
+    (bindings Hashtbl.fold generic) (bindings Util.Itbl.fold itbl);
+  Hashtbl.reset generic;
+  Util.Itbl.reset itbl;
+  List.iter
+    (fun k ->
+      Hashtbl.replace generic k k;
+      Util.Itbl.replace itbl k k)
+    [ 5; 1 lsl 35; -3; 77 ];
+  Alcotest.(check (list (pair int int))) "same order after reset"
+    (bindings Hashtbl.fold generic) (bindings Util.Itbl.fold itbl)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -149,5 +188,6 @@ let suite =
     Alcotest.test_case "hdr percentiles" `Quick test_hdr_percentiles;
     Alcotest.test_case "hdr merge and clamp" `Quick test_hdr_merge_and_clamp;
     Alcotest.test_case "table rendering" `Quick test_table_render;
+    Alcotest.test_case "itbl fold order matches Hashtbl" `Quick test_itbl_fold_order;
   ]
   @ qcheck_cases
