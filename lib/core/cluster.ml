@@ -182,7 +182,12 @@ let members t =
        (fun acc st -> Quorum.Tree_quorum.members st.sh_tq @ acc)
        [] t.sharding.states)
 
-let is_member t node = List.mem node (members t)
+let rec member_of_shards states node i =
+  i < Array.length states
+  && (Quorum.Tree_quorum.is_member states.(i).sh_tq node
+     || member_of_shards states node (i + 1))
+
+let is_member t node = member_of_shards t.sharding.states node 0
 
 (* The cluster-wide epoch: the sum of the shard epochs, i.e. the number of
    completed view changes across the whole deployment (identical to the

@@ -43,6 +43,11 @@ let read_level t = t.read_level
 let capacity t = t.capacity
 let members t = Array.to_list t.members
 
+let rec member_from members node i =
+  i < Array.length members && (members.(i) = node || member_from members node (i + 1))
+
+let is_member t node = member_from t.members node 0
+
 let set_members t nodes =
   let arr = Array.of_list (List.sort_uniq Int.compare nodes) in
   if Array.length arr = 0 then invalid_arg "Tree_quorum.set_members: empty view";

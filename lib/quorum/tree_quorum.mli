@@ -46,6 +46,9 @@ val capacity : t -> int
 val members : t -> int list
 (** Physical nodes of the current view, ascending. *)
 
+val is_member : t -> int -> bool
+(** [is_member t node] is [List.mem node (members t)], without allocating. *)
+
 val set_members : t -> int list -> unit
 (** Install a new view: the quorum tree is rebuilt over the given member
     set (sorted, de-duplicated) and every memoised quorum is invalidated.

@@ -16,18 +16,38 @@ type ('req, 'rep) envelope =
   | Request of { rid : int; payload : 'req; wants_reply : bool; epoch : int }
   | Reply of { rid : int; payload : 'rep; epoch : int; req : 'req }
 
-type ('req, 'rep) pending = {
-  mutable awaiting : int list;
-  mutable replies : (int * 'rep) list;
+(* One multicall in flight.  Records are pooled through a free stack, like
+   [Network]'s envelopes: each carries its own [timeout] closure, built
+   once when the record is created, so a steady-state multicall schedules
+   a pooled record and allocates neither.  A record is live from
+   [multicall] until its timeout fires, but it holds the caller's state
+   only until the call is decided: completion and timeout both clear
+   [awaiting], [replies] and [complete] before running the continuation,
+   so a completed call's continuation is not retained by the timeout
+   still queued in the lane.  The timeout returns the record to the pool
+   whether or not the call completed first.  [pending] is keyed by rid,
+   not by record, so a late reply to a decided call finds nothing even
+   after its record has been reused. *)
+type ('req, 'rep) call = {
+  mutable rid : int;
+  mutable src : int;
+  mutable kind : Network.Kind.t;
+  mutable awaiting : int list; (* not yet replied, in [dsts] order *)
+  mutable replies : (int * 'rep) list; (* newest first *)
   mutable finished : bool;
-  complete : replies:(int * 'rep) list -> missing:int list -> unit;
+  mutable complete : replies:(int * 'rep) list -> missing:int list -> unit;
+  mutable timeout : unit -> unit; (* set at creation, references this record *)
 }
+
+let no_continuation ~replies:_ ~missing:_ = ()
 
 type ('req, 'rep) t = {
   network : ('req, 'rep) envelope Network.t;
   lane : Engine.lane; (* multicall timeouts: one fixed delay per caller *)
   servers : (src:int -> 'req -> 'rep option) option array;
-  pending : ('req, 'rep) pending Util.Itbl.t;
+  pending : ('req, 'rep) call Util.Itbl.t; (* undecided calls, by rid *)
+  mutable call_free : ('req, 'rep) call array; (* call free stack *)
+  mutable call_free_len : int;
   mutable next_rid : int;
   mutable give_ups : int;
   mutable fenced : int;
@@ -54,6 +74,65 @@ let trace_fence t ~node ~src ~msg_epoch ~cur_epoch =
       ~time:(Engine.now (Network.engine t.network))
       ~kind:Obs.Sem.epoch_fence ~node ~txn:(-1) ~oid:(-1) ~a:src ~b:msg_epoch
       ~x:(Float.of_int cur_epoch)
+
+(* Decide [c]: take it out of [pending], drop everything it holds, then
+   run the saved continuation with the replies in arrival order. *)
+let decide t c =
+  let complete = c.complete and replies = List.rev c.replies and missing = c.awaiting in
+  c.finished <- true;
+  Util.Itbl.remove t.pending c.rid;
+  c.awaiting <- [];
+  c.replies <- [];
+  c.complete <- no_continuation;
+  complete ~replies ~missing
+
+(* --- call pool ---------------------------------------------------------- *)
+
+let release_call t c =
+  let cap = Array.length t.call_free in
+  if t.call_free_len = cap then begin
+    let cap' = if cap = 0 then 16 else 2 * cap in
+    let grown = Array.make cap' c in
+    Array.blit t.call_free 0 grown 0 cap;
+    t.call_free <- grown
+  end;
+  t.call_free.(t.call_free_len) <- c;
+  t.call_free_len <- t.call_free_len + 1
+
+(* The timeout of [c]'s current use.  The record goes back to the pool
+   first, so a continuation that issues a new multicall may reuse it. *)
+let fire_timeout t c =
+  release_call t c;
+  if not c.finished then begin
+    if Obs.Tracer.enabled t.tracer then
+      Obs.Tracer.emit8 t.tracer
+        ~time:(Engine.now (Network.engine t.network))
+        ~kind:Obs.Sem.rpc_timeout ~node:c.src ~txn:(-1) ~oid:(-1)
+        ~a:(List.length c.awaiting) ~b:c.kind ~x:0.;
+    decide t c
+  end
+
+let acquire_call t =
+  if t.call_free_len > 0 then begin
+    let n = t.call_free_len - 1 in
+    t.call_free_len <- n;
+    t.call_free.(n)
+  end
+  else begin
+    let rec c =
+      {
+        rid = 0;
+        src = 0;
+        kind = Network.Kind.other;
+        awaiting = [];
+        replies = [];
+        finished = true;
+        complete = no_continuation;
+        timeout = (fun () -> fire_timeout t c);
+      }
+    in
+    c
+  end
 
 let handle_envelope t ~node ~src env =
   match env with
@@ -85,16 +164,12 @@ let handle_envelope t ~node ~src env =
     end
     else begin
       match Util.Itbl.find_opt t.pending rid with
-      | None -> () (* request already completed or timed out *)
-      | Some p ->
-        if List.mem src p.awaiting then begin
-          p.awaiting <- List.filter (fun n -> n <> src) p.awaiting;
-          p.replies <- (src, payload) :: p.replies;
-          if p.awaiting = [] then begin
-            p.finished <- true;
-            Util.Itbl.remove t.pending rid;
-            p.complete ~replies:(List.rev p.replies) ~missing:[]
-          end
+      | None -> () (* request already decided *)
+      | Some c ->
+        if List.mem src c.awaiting then begin
+          c.awaiting <- List.filter (fun n -> n <> src) c.awaiting;
+          c.replies <- (src, payload) :: c.replies;
+          if c.awaiting = [] then decide t c
         end
     end
 
@@ -105,6 +180,8 @@ let create ?(seed = 0) ?(retry_base = 0.) ?(retry_max = 0.) ~network () =
       lane = Engine.lane (Network.engine network);
       servers = Array.make (Network.nodes network) None;
       pending = Util.Itbl.create 64;
+      call_free = [||];
+      call_free_len = 0;
       next_rid = 0;
       give_ups = 0;
       fenced = 0;
@@ -134,25 +211,20 @@ let fresh_rid t =
 
 let multicall t ?kind ~src ~dsts ~timeout req ~on_done =
   let rid = fresh_rid t in
-  let p = { awaiting = dsts; replies = []; finished = false; complete = on_done } in
   if dsts = [] then on_done ~replies:[] ~missing:[]
   else begin
-    Util.Itbl.replace t.pending rid p;
+    let c = acquire_call t in
+    c.rid <- rid;
+    c.src <- src;
+    c.kind <- (match kind with Some k -> k | None -> Network.Kind.other);
+    c.awaiting <- dsts;
+    c.finished <- false;
+    c.complete <- on_done;
+    Util.Itbl.replace t.pending rid c;
     Network.multicast_batch t.network ?kind ~src ~dsts
       (Request { rid; payload = req; wants_reply = true; epoch = t.epoch_of req });
     let engine = Network.engine t.network in
-    Engine.schedule_lane t.lane ~time:(Engine.now engine +. timeout) (fun () ->
-        if not p.finished then begin
-          p.finished <- true;
-          Util.Itbl.remove t.pending rid;
-          if Obs.Tracer.enabled t.tracer then
-            Obs.Tracer.emit8 t.tracer ~time:(Engine.now engine)
-              ~kind:Obs.Sem.rpc_timeout ~node:src ~txn:(-1) ~oid:(-1)
-              ~a:(List.length p.awaiting)
-              ~b:(match kind with Some k -> k | None -> Network.Kind.other)
-              ~x:0.;
-          p.complete ~replies:(List.rev p.replies) ~missing:p.awaiting
-        end)
+    Engine.schedule_lane t.lane ~time:(Engine.now engine +. timeout) c.timeout
   end
 
 let call t ?kind ~src ~dst ~timeout req ~on_reply ~on_timeout =

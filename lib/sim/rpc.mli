@@ -72,7 +72,10 @@ val multicall :
   unit
 (** Fire [on_done] as soon as every destination replied ([missing = []]),
     or at [timeout] with whatever arrived.  [on_done] is called exactly
-    once.  Replies arriving after the timeout are discarded. *)
+    once, with [replies] in arrival order and [missing] in [dsts] order.
+    Duplicate replies, and replies arriving after the call was decided,
+    are discarded.  Once decided, the call no longer references [on_done]
+    or the replies, although its timeout stays queued until [timeout]. *)
 
 val cast : ('req, 'rep) t -> ?kind:Network.Kind.t -> src:int -> dst:int -> 'req -> unit
 (** One-way request; any reply the server produces is dropped. *)

@@ -331,8 +331,9 @@ let remove_txn t ~oid ~txn =
   match find t oid with
   | None -> ()
   | Some copy ->
-    copy.readers <- List.filter (fun id -> id <> txn) copy.readers;
-    copy.writers <- List.filter (fun id -> id <> txn) copy.writers
+    (* The lists are nearly always empty here: skip the filter closures. *)
+    if copy.readers <> [] then copy.readers <- List.filter (fun id -> id <> txn) copy.readers;
+    if copy.writers <> [] then copy.writers <- List.filter (fun id -> id <> txn) copy.writers
 
 let readers t oid = match find t oid with Some copy -> copy.readers | None -> []
 let writers t oid = match find t oid with Some copy -> copy.writers | None -> []

@@ -1,1 +1,6 @@
-include Hashtbl.Make (Int)
+include Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)

@@ -1,10 +1,28 @@
-(** Hash tables keyed by [int].
+(** Hash tables keyed by [int], hashed by identity.
 
-    [Hashtbl.Make (Int)]: lookups hash and compare the key inline instead
-    of through the polymorphic [caml_hash] / [compare] of the generic
-    [Hashtbl].  [Int.hash] equals [Hashtbl.hash] on every int and the
-    functor shares the generic table's bucket array, sizing and resize
-    policy, so the same sequence of updates leaves both tables with the
-    same layout: [iter] and [fold] visit the bindings in the same order. *)
+    A key's bucket is the key itself ([hash x = x land max_int]) masked to
+    the table size: no [caml_hash] mix and no polymorphic compare per
+    lookup.  Keys on the message path are minted densely (rids, txn ids,
+    oids), so consecutive keys land in distinct buckets.  Sparse keys that
+    agree in their low bits share buckets and degrade lookups to a scan.
 
-include Hashtbl.S with type key = int
+    No iteration is exported: bucket order depends on the hash, and
+    keeping it out of the interface means it cannot reach any output. *)
+
+type 'a t
+
+val create : int -> 'a t
+val clear : 'a t -> unit
+
+val reset : 'a t -> unit
+(** [clear], also shrinking the bucket array to its initial size. *)
+
+val add : 'a t -> int -> 'a -> unit
+(** Adds a binding, shadowing (not replacing) any earlier one. *)
+
+val replace : 'a t -> int -> 'a -> unit
+val remove : 'a t -> int -> unit
+val find : 'a t -> int -> 'a
+val find_opt : 'a t -> int -> 'a option
+val mem : 'a t -> int -> bool
+val length : 'a t -> int

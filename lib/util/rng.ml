@@ -1,27 +1,36 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes.  With [mix64] and
+   [int64] inlined, a draw reads and writes raw int64s: it allocates no
+   box and does no [caml_modify] on the generator. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 mixing function (Steele, Lea, Flood; JDK SplittableRandom). *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state state =
+  let rng = Bytes.create 8 in
+  Bytes.set_int64_ne rng 0 state;
+  rng
 
-let int64 rng =
-  rng.state <- Int64.add rng.state golden_gamma;
-  mix64 rng.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split rng = { state = int64 rng }
+let[@inline] int64 rng =
+  let state = Int64.add (Bytes.get_int64_ne rng 0) golden_gamma in
+  Bytes.set_int64_ne rng 0 state;
+  mix64 state
+
+let split rng = of_state (int64 rng)
 
 let int rng bound =
   assert (bound > 0);
   let mask = Int64.shift_right_logical (int64 rng) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int bound))
 
-let float rng bound =
+let[@inline] float rng bound =
   let raw = Int64.to_float (Int64.shift_right_logical (int64 rng) 11) in
   bound *. (raw /. 9007199254740992.0)
 

@@ -358,6 +358,37 @@ let test_leave_follows_pending_replace () =
     (Cluster.home_shard_of cluster ~node:15);
   expect_consistent cluster
 
+(* [is_member] scans the shards' member arrays; it must agree with the
+   sorted member list after every engine step of a join, a leave, a split
+   and a replace. *)
+let test_is_member_tracks_members () =
+  let cluster = Cluster.create ~nodes:12 ~spares:2 ~shards:2 ~seed:17 (config ()) in
+  let events =
+    match
+      Harness.Scenario.parse
+        "join 12 @100; leave 3 @400; shardsplit 0 @800; replace 7 13 @1200"
+    with
+    | Ok events -> events
+    | Error msg -> Alcotest.failf "parse failed: %s" msg
+  in
+  ignore (Harness.Scenario.install cluster events : Harness.Scenario.tracker);
+  let check_all () =
+    let members = Cluster.members cluster in
+    for node = 0 to Cluster.nodes cluster - 1 do
+      if Cluster.is_member cluster node <> List.mem node members then
+        Alcotest.failf "is_member %d disagrees with members at %.3f ms" node
+          (Sim.Engine.now (Cluster.engine cluster))
+    done
+  in
+  let engine = Cluster.engine cluster in
+  check_all ();
+  while Sim.Engine.step engine do
+    check_all ()
+  done;
+  Alcotest.(check (list int)) "final view" [ 0; 1; 2; 4; 5; 6; 8; 9; 10; 11; 12; 13 ]
+    (Cluster.members cluster);
+  Alcotest.(check int) "split made a third shard" 3 (Cluster.shard_count cluster)
+
 (* {2 Shard chaos} *)
 
 let shard_knobs =
@@ -407,4 +438,5 @@ let suite =
     Alcotest.test_case "shard chaos seeds pass" `Quick test_shard_chaos_seeds_pass;
     Alcotest.test_case "leave follows a pending replace" `Quick
       test_leave_follows_pending_replace;
+    Alcotest.test_case "is_member tracks members" `Quick test_is_member_tracks_members;
   ]

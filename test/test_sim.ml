@@ -443,6 +443,112 @@ let test_rpc_multicall_missing_is_exact () =
     (Some ([ 1; 3; 5 ], [ 2; 4 ]))
     !result
 
+(* A late reply must not reach a later call, even one that reuses the
+   decided call's pooled record.  Node 2's link is spiked (200 ms each
+   way), so call A times out at 50 ms; A's continuation issues B, which
+   takes A's record from the pool.  A's late reply from 2 lands while B
+   still awaits 2; B must ignore it and complete with its own reply. *)
+let test_rpc_late_reply_after_timeout_reused () =
+  let engine, network, rpc = make_rpc () in
+  for node = 0 to 3 do
+    Sim.Rpc.serve rpc ~node (fun ~src:_ req -> Some req)
+  done;
+  Sim.Network.set_link_faults network ~a:0 ~b:2
+    { Sim.Network.no_faults with spike_prob = 1.0; spike_factor = 20. };
+  let a_done = ref [] and b_done = ref [] in
+  Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 1; 2 ] ~timeout:50. 7
+    ~on_done:(fun ~replies ~missing ->
+      a_done := (replies, missing) :: !a_done;
+      Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 2; 3 ] ~timeout:1000. 8
+        ~on_done:(fun ~replies ~missing -> b_done := (replies, missing) :: !b_done));
+  Sim.Engine.run engine;
+  let calls = Alcotest.(list (pair (list (pair int int)) (list int))) in
+  Alcotest.check calls "A timed out once" [ ([ (1, 7) ], [ 2 ]) ] !a_done;
+  Alcotest.check calls "B saw only its own replies" [ ([ (3, 8); (2, 8) ], []) ] !b_done
+
+(* Replies after completion, and duplicates, are dropped.  Every message
+   on link 0-1 is duplicated.  Call C completes on node 1's first reply
+   and times out at 22 ms, freeing its record; D, issued at 22.5 ms,
+   reuses it while C's stray duplicates are still in flight.  Call E
+   awaits a spiked node 2 while node 1's duplicates arrive. *)
+let test_rpc_duplicate_and_post_completion_replies () =
+  let engine, network, rpc = make_rpc () in
+  let served = ref 0 in
+  for node = 0 to 3 do
+    Sim.Rpc.serve rpc ~node (fun ~src:_ req ->
+        if node = 1 then incr served;
+        Some req)
+  done;
+  Sim.Network.set_link_faults network ~a:0 ~b:1
+    { Sim.Network.no_faults with duplicate = 1.0 };
+  let calls = Alcotest.(list (pair (list (pair int int)) (list int))) in
+  let c_done = ref [] and d_done = ref [] in
+  Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 1 ] ~timeout:22. 8
+    ~on_done:(fun ~replies ~missing -> c_done := (replies, missing) :: !c_done);
+  Sim.Engine.schedule engine ~delay:22.5 (fun () ->
+      Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 1 ] ~timeout:1000. 9
+        ~on_done:(fun ~replies ~missing -> d_done := (replies, missing) :: !d_done));
+  Sim.Engine.run engine;
+  Alcotest.check calls "C completed once" [ ([ (1, 8) ], []) ] !c_done;
+  Alcotest.check calls "D ignored C's strays" [ ([ (1, 9) ], []) ] !d_done;
+  Alcotest.(check int) "node 1 served every duplicate" 4 !served;
+  Sim.Network.set_link_faults network ~a:0 ~b:2
+    { Sim.Network.no_faults with spike_prob = 1.0; spike_factor = 20. };
+  let e_done = ref [] in
+  Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 1; 2 ] ~timeout:1000. 10
+    ~on_done:(fun ~replies ~missing -> e_done := (replies, missing) :: !e_done);
+  Sim.Engine.run engine;
+  Alcotest.check calls "one reply per node" [ ([ (1, 10); (2, 10) ], []) ] !e_done
+
+(* On timeout, [replies] come in arrival order and [missing] in [dsts]
+   order, neither sorted.  Node 3's link is spiked so its reply arrives
+   after node 1's; nodes 4 and 2 are down. *)
+let test_rpc_timeout_orders () =
+  let engine, network, rpc = make_rpc ~nodes:6 () in
+  for node = 0 to 5 do
+    Sim.Rpc.serve rpc ~node (fun ~src:_ req -> Some (req + node))
+  done;
+  Sim.Network.set_link_faults network ~a:0 ~b:3
+    { Sim.Network.no_faults with spike_prob = 1.0; spike_factor = 3. };
+  Sim.Network.fail network 4;
+  Sim.Network.fail network 2;
+  let result = ref None in
+  Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 3; 1; 4; 2 ] ~timeout:200. 100
+    ~on_done:(fun ~replies ~missing -> result := Some (replies, missing));
+  Sim.Engine.run engine;
+  Alcotest.(check (option (pair (list (pair int int)) (list int))))
+    "arrival order, then dsts order"
+    (Some ([ (1, 101); (3, 103) ], [ 4; 2 ]))
+    !result
+
+let[@inline never] multicall_watched rpc ~completed =
+  let cell = ref 0 in
+  let watch = Weak.create 1 in
+  Weak.set watch 0 (Some cell);
+  Sim.Rpc.multicall rpc ~src:0 ~dsts:[ 1; 2; 3 ] ~timeout:1000. 5
+    ~on_done:(fun ~replies ~missing:_ ->
+      incr completed;
+      cell := List.length replies);
+  watch
+
+(* A completed call must not keep its continuation alive until its
+   timeout fires: the record stays queued in the timeout lane, but it no
+   longer references [on_done]. *)
+let test_rpc_completed_call_releases_continuation () =
+  let engine, _network, rpc = make_rpc () in
+  for node = 0 to 3 do
+    Sim.Rpc.serve rpc ~node (fun ~src:_ req -> Some req)
+  done;
+  let completed = ref 0 in
+  let watch = multicall_watched rpc ~completed in
+  Sim.Engine.run ~until:100. engine;
+  Alcotest.(check int) "completed before the timeout" 1 !completed;
+  Alcotest.(check bool) "timeout still queued" true (Sim.Engine.pending engine > 0);
+  Gc.full_major ();
+  Alcotest.(check bool) "continuation collected" false (Weak.check watch 0);
+  Sim.Engine.run engine;
+  Alcotest.(check int) "the timeout did not call it again" 1 !completed
+
 let test_rpc_acked_send_retransmits () =
   (* The link starts fully lossy, then heals at t=70; acked_send keeps
      retransmitting on timeout until one attempt gets through. *)
@@ -584,6 +690,13 @@ let suite =
       test_rpc_multicall_late_reply_discarded;
     Alcotest.test_case "rpc multicall missing exact" `Quick
       test_rpc_multicall_missing_is_exact;
+    Alcotest.test_case "rpc late reply ignored by a reused call" `Quick
+      test_rpc_late_reply_after_timeout_reused;
+    Alcotest.test_case "rpc duplicate and post-completion replies" `Quick
+      test_rpc_duplicate_and_post_completion_replies;
+    Alcotest.test_case "rpc timeout reply and missing order" `Quick test_rpc_timeout_orders;
+    Alcotest.test_case "rpc completed call releases continuation" `Quick
+      test_rpc_completed_call_releases_continuation;
     Alcotest.test_case "rpc acked send retransmits" `Quick test_rpc_acked_send_retransmits;
     Alcotest.test_case "rpc one-way cast" `Quick test_rpc_no_reply_handler;
     Alcotest.test_case "failure detection" `Quick test_failure_detection;
