@@ -143,9 +143,9 @@ and t = {
      dependencies.  Bounded FIFO: a dependency is always decided by the
      time its reader decides (one batch in flight, decided in order), so
      eviction of old entries is safe; an evicted/unknown dependency reads
-     as "not committed", which only ever aborts conservatively. *)
-  spec_outcomes : bool Util.Itbl.t;
-  spec_outcome_order : Ids.txn_id Queue.t;
+     as "not committed", which only ever aborts conservatively.  Values:
+     1 committed, 0 not. *)
+  spec_outcomes : Util.Fifo_set.t;
 }
 
 (* Per-shard batch-commit queue.  Queue order is commit order {e within a
@@ -194,6 +194,8 @@ type verdict =
   | All_commit
   | Vetoed of { lock_conflict : bool; stale_witnesses : int list }
 
+let spec_outcome_cap = 16_384
+
 let create ~engine ~rpc ~quorums ~config ~metrics ?oracle ?(batch_commit = false)
     ~ids ~seed () =
   {
@@ -217,8 +219,7 @@ let create ~engine ~rpc ~quorums ~config ~metrics ?oracle ?(batch_commit = false
     batch_queues = [||];
     batch_seq = 0;
     images = Util.Itbl.create 64;
-    spec_outcomes = Util.Itbl.create 256;
-    spec_outcome_order = Queue.create ();
+    spec_outcomes = Util.Fifo_set.create spec_outcome_cap;
   }
 
 (* The shard's batch queue, materialised on first use (shards can appear
@@ -360,7 +361,7 @@ let commit_shards exec ~(scope_rset : Rwset.t) ~(scope_wset : Rwset.t) =
   let acc = ref [] in
   let note (e : Rwset.entry) =
     let s = exec.quorums.shard_of e.oid in
-    if not (List.mem s !acc) then acc := s :: !acc
+    if not (Util.Ilist.mem s !acc) then acc := s :: !acc
   in
   Rwset.iter scope_wset note;
   Rwset.iter scope_rset note;
@@ -448,7 +449,7 @@ let widen_to_witnesses root stale_witnesses =
     Metrics.note_read_widening root.exec.metrics;
     List.iter
       (fun witness ->
-        if not (List.mem witness root.extra_read_peers) then
+        if not (Util.Ilist.mem witness root.extra_read_peers) then
           trace root ~kind:Obs.Sem.widen_add ~oid:(-1) ~a:witness
             ~b:(root.exec.quorums.home_shard witness) ~x:0.)
       (List.sort_uniq Int.compare stale_witnesses);
@@ -579,13 +580,8 @@ let refresh_committed_images exec ~txn ~wset =
         img.img_committed <- true
       | Some _ | None -> ())
 
-let spec_outcome_cap = 16_384
-
 let record_spec_outcome exec ~txn ~committed =
-  Util.Itbl.replace exec.spec_outcomes txn committed;
-  Queue.push txn exec.spec_outcome_order;
-  if Queue.length exec.spec_outcome_order > spec_outcome_cap then
-    Util.Itbl.remove exec.spec_outcomes (Queue.pop exec.spec_outcome_order)
+  ignore (Util.Fifo_set.replace exec.spec_outcomes txn (Bool.to_int committed))
 
 (* A queue entry that will not commit: record the outcome, so speculative
    readers of its images fail fast, and drop the images. *)
@@ -601,10 +597,10 @@ let dep_status exec deps =
   let rec go undecided = function
     | [] -> (match undecided with Some txn -> `Undecided txn | None -> `Ok)
     | txn :: rest ->
-      (match Util.Itbl.find_opt exec.spec_outcomes txn with
-      | Some true -> go undecided rest
-      | Some false -> `Failed txn
-      | None -> go (Some txn) rest)
+      (match Util.Fifo_set.find exec.spec_outcomes txn ~default:(-1) with
+      | 1 -> go undecided rest
+      | 0 -> `Failed txn
+      | _ -> go (Some txn) rest)
   in
   go None deps
 
@@ -706,7 +702,7 @@ and access root ~oid ~write ~k =
       | Some img ->
         Metrics.note_speculative_read exec.metrics;
         let pending_dep = not img.img_committed in
-        if pending_dep && not (List.mem img.img_txn root.spec_deps) then
+        if pending_dep && not (Util.Ilist.mem img.img_txn root.spec_deps) then
           root.spec_deps <- img.img_txn :: root.spec_deps;
         trace root ~kind:Obs.Sem.spec_read ~oid ~a:img.img_txn
           ~b:(if pending_dep then 1 else 0)
@@ -775,7 +771,7 @@ and handle_read_replies root ~oid ~write ~k ~replies ~missing =
     if root.extra_read_peers <> [] then begin
       let kept, pruned =
         List.partition
-          (fun n -> (not (List.mem n missing)) || exec.quorums.node_alive n)
+          (fun n -> (not (Util.Ilist.mem n missing)) || exec.quorums.node_alive n)
           root.extra_read_peers
       in
       List.iter

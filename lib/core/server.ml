@@ -135,7 +135,7 @@ let commit_evidence t ~held ~replies =
       (status_rep (fun ~committed:_ ~objects ->
            List.exists
              (fun (oid, version, _) ->
-               List.mem oid held && version > Store.Replica.version t.store oid)
+               Util.Ilist.mem oid held && version > Store.Replica.version t.store oid)
              objects))
       replies
   then Some `Version_advance

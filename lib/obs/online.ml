@@ -23,26 +23,15 @@ exception Violation of violation
 (* Voter flag bits, mirroring the executor's [vote.recv] encoding. *)
 let commit_bit = 1
 
-let intersects a b = List.exists (fun x -> List.mem x b) a
+let intersects a b = List.exists (fun x -> Util.Ilist.mem x b) a
 
-(* Bounded insertion-order-evicting map: the side tables that outlive a
-   transaction (commit evidence, cross-shard decisions, batch outcomes)
-   are consulted only within a bounded horizon — a rescue references a
-   lease-recent transaction, a batch dependency a queue-recent one — so a
-   generous FIFO keeps verdicts exact in practice while pinning memory. *)
-type ('k, 'v) bmap = { cap : int; order : 'k Queue.t; tbl : ('k, 'v) Hashtbl.t }
-
-let bmap cap = { cap; order = Queue.create (); tbl = Hashtbl.create 64 }
-let bmem m k = Hashtbl.mem m.tbl k
-let bfind m k = Hashtbl.find_opt m.tbl k
-
-let bput m k v =
-  if not (Hashtbl.mem m.tbl k) then begin
-    Queue.push k m.order;
-    if Queue.length m.order > m.cap then
-      Hashtbl.remove m.tbl (Queue.pop m.order)
-  end;
-  Hashtbl.replace m.tbl k v
+(* The side tables that outlive a transaction (commit evidence,
+   cross-shard decisions, batch outcomes) are consulted only within a
+   bounded horizon — a rescue references a lease-recent transaction, a
+   batch dependency a queue-recent one — so they are bounded FIFO sets
+   ({!Util.Fifo_set}): a generous horizon keeps verdicts exact in practice
+   while pinning memory. *)
+let remember m k = ignore (Util.Fifo_set.add m k)
 
 (* Everything the checker tracks about one in-flight transaction; the
    whole record is dropped at [txn.end]. *)
@@ -92,15 +81,18 @@ type t = {
   (* (shard, epoch) -> distinct committed voter sets, newest first. *)
   committed : (int * int, quorum_log) Hashtbl.t;
   quorums_cap : int; (* distinct sets retained per (shard, epoch) *)
-  evidence : (int, unit) bmap; (* txns with commit evidence *)
-  xcommitted : (int, unit) bmap; (* cross-shard commits decided *)
-  batch_outcome : (int, bool) bmap; (* txn -> committed in its batch? *)
-  last_decided : (int, int * int) bmap; (* batch -> (position, txn) *)
+  evidence : Util.Fifo_set.t; (* txns with commit evidence *)
+  xcommitted : Util.Fifo_set.t; (* cross-shard commits decided *)
+  batch_outcome : Util.Fifo_set.t; (* txn -> 1 committed / 0 aborted in its batch *)
+  (* batch -> last decided (position, txn): two maps always given the same
+     keys in the same order, so they evict together. *)
+  last_position : Util.Fifo_set.t;
+  last_txn : Util.Fifo_set.t;
   (* tombstones: txns already retired at [txn.end].  Stragglers — late
      quorum votes, duplicated messages — would otherwise resurrect a state
      record that nothing ever retires again; a tombstoned txn gets a
      throwaway state instead. *)
-  ended : (int, unit) bmap;
+  ended : Util.Fifo_set.t;
 }
 
 let create ?is_write_quorum ?(fail_fast = false) ?on_violation
@@ -119,11 +111,12 @@ let create ?is_write_quorum ?(fail_fast = false) ?on_violation
     leases = Hashtbl.create 64;
     committed = Hashtbl.create 8;
     quorums_cap = 4096;
-    evidence = bmap horizon;
-    xcommitted = bmap horizon;
-    batch_outcome = bmap horizon;
-    last_decided = bmap (max 1 (horizon / 16));
-    ended = bmap horizon;
+    evidence = Util.Fifo_set.create horizon;
+    xcommitted = Util.Fifo_set.create horizon;
+    batch_outcome = Util.Fifo_set.create horizon;
+    last_position = Util.Fifo_set.create (max 1 (horizon / 16));
+    last_txn = Util.Fifo_set.create (max 1 (horizon / 16));
+    ended = Util.Fifo_set.create horizon;
   }
 
 let report t rule time txn detail =
@@ -144,7 +137,7 @@ let state_of t txn =
     (* A straggler for an ended txn (a late vote after the commit decided)
        gets a throwaway record: re-inserting would leak state that no
        [txn.end] will ever retire again. *)
-    if not (bmem t.ended txn) then begin
+    if not (Util.Fifo_set.mem t.ended txn) then begin
       Hashtbl.replace t.txns txn st;
       let n = Hashtbl.length t.txns in
       if n > t.peak_tracked then t.peak_tracked <- n
@@ -159,7 +152,7 @@ let close_group t txn =
     | None -> ()
     | Some (time, oid, dsts, flagged) ->
       st.group <- None;
-      let missing = List.filter (fun w -> not (List.mem w !dsts)) flagged in
+      let missing = List.filter (fun w -> not (Util.Ilist.mem w !dsts)) flagged in
       if missing <> [] then
         report t "widen-read" time txn
           (Printf.sprintf
@@ -267,16 +260,16 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
     (match Hashtbl.find_opt t.txns txn with
     | Some st -> check_commit t st ~time ~txn
     | None -> check_commit t (fresh_txn_state ()) ~time ~txn);
-    bput t.evidence txn ()
+    remember t.evidence txn
   end
-  else if k = Sem.txn_commit then bput t.evidence txn ()
+  else if k = Sem.txn_commit then remember t.evidence txn
   else if k = Sem.xshard_prepare then begin
     let st = state_of t txn in
-    if not (List.mem a st.xparts) then st.xparts <- a :: st.xparts
+    if not (Util.Ilist.mem a st.xparts) then st.xparts <- a :: st.xparts
   end
   else if k = Sem.xshard_decide then begin
     if a = 1 then begin
-      bput t.xcommitted txn ();
+      remember t.xcommitted txn;
       (* A committed cross-shard transaction must have run a prepare round
          on every participant shard — a decision taken without some
          participant's vote quorum is exactly the atomicity bug 2PC exists
@@ -297,7 +290,7 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
     (* Once the coordinator decided commit, no participant replica may walk
        the decision back: the termination protocol must surface rescue
        evidence before the lease is presumed dead. *)
-    if bmem t.xcommitted txn then
+    if Util.Fifo_set.mem t.xcommitted txn then
       report t "cross-shard-atomicity" time txn
         (Printf.sprintf
            "node %d presumed abort after the cross-shard commit was decided \
@@ -326,7 +319,7 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
        dependency.  b = 0 images are already-committed state. *)
     if b = 1 then begin
       let st = state_of t txn in
-      if not (List.mem a st.spec_deps) then st.spec_deps <- a :: st.spec_deps
+      if not (Util.Ilist.mem a st.spec_deps) then st.spec_deps <- a :: st.spec_deps
     end
   end
   else if k = Sem.batch_decide then begin
@@ -336,15 +329,18 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
        would apply versions against queue order. *)
     (match st.batch_entry with
     | Some (batch, pos) when batch = a ->
-      (match bfind t.last_decided batch with
-      | Some (last, other) when pos <= last ->
-        report t "batch-order" time txn
-          (Printf.sprintf
-             "batch %d decided queue position %d after position %d (txn \
-              %d): applied versions would not respect queue order"
-             batch pos last other)
-      | Some _ | None -> ());
-      bput t.last_decided batch (pos, txn)
+      if Util.Fifo_set.mem t.last_position batch then begin
+        let last = Util.Fifo_set.find t.last_position batch ~default:0 in
+        if pos <= last then
+          report t "batch-order" time txn
+            (Printf.sprintf
+               "batch %d decided queue position %d after position %d (txn \
+                %d): applied versions would not respect queue order"
+               batch pos last
+               (Util.Fifo_set.find t.last_txn batch ~default:0))
+      end;
+      ignore (Util.Fifo_set.replace t.last_position batch pos);
+      ignore (Util.Fifo_set.replace t.last_txn batch txn)
     | Some (batch, _) ->
       report t "batch-order" time txn
         (Printf.sprintf "decided in batch %d but last cut into batch %d" a
@@ -352,20 +348,20 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
     | None ->
       report t "batch-order" time txn
         (Printf.sprintf "decided in batch %d without a batch.entry" a));
-    bput t.batch_outcome txn (b = 1);
+    ignore (Util.Fifo_set.replace t.batch_outcome txn (if b = 1 then 1 else 0));
     (* (b) a speculative txn never commits in a round its predecessor
        aborted in (or before the predecessor is decided at all). *)
     if b = 1 then
       List.iter
         (fun w ->
-          match bfind t.batch_outcome w with
-          | Some true -> ()
-          | Some false ->
+          match Util.Fifo_set.find t.batch_outcome w ~default:(-1) with
+          | 1 -> ()
+          | 0 ->
             report t "batch-order" time txn
               (Printf.sprintf
                  "speculative txn committed though predecessor %d it read \
                   from aborted" w)
-          | None ->
+          | _ ->
             report t "batch-order" time txn
               (Printf.sprintf
                  "speculative txn committed before predecessor %d it read \
@@ -407,20 +403,20 @@ let feed8 t ~time ~kind:k ~node ~txn ~oid ~a ~b ~x =
        machine retires here just as at [txn.end] — most chaos-run ids die
        this way and would otherwise accumulate for the rest of the run. *)
     Hashtbl.remove t.txns txn;
-    bput t.ended txn ()
+    remember t.ended txn
   end
   else if k = Sem.txn_end then begin
     (* The transaction is over: retire its whole state machine.  This is
        the bound that keeps checker memory O(in-flight transactions). *)
     Hashtbl.remove t.txns txn;
-    bput t.ended txn ()
+    remember t.ended txn
   end
-  else if k = Sem.apply then bput t.evidence txn ()
+  else if k = Sem.apply then remember t.evidence txn
   else if k = Sem.rescue then begin
     (* b = 1 marks version-advance evidence: the leased copy moved past the
        protected version, which a *different* transaction's commit can
        cause across membership views — no per-txn apply is implied. *)
-    if b <> 1 && not (bmem t.evidence txn) then
+    if b <> 1 && not (Util.Fifo_set.mem t.evidence txn) then
       report t "rescue-evidence" time txn
         "rescued to commit without prior commit evidence (no apply or \
          coordinator commit in trace)"

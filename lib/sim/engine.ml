@@ -1,7 +1,13 @@
 (* The queue is a binary min-heap laid out as parallel arrays — a flat
-   [float array] of times, an [int array] of tie-break seqs and the
-   actions — compared inline by (time, seq), so a push or pop moves
-   unboxed floats and ints and allocates nothing.
+   [float array] of times, an [int array] of tie-break seqs and an
+   [int array] of action slots — compared inline by (time, seq).  The
+   actions themselves sit still in a slot table: an action is written
+   once when it is pushed and cleared once when it is popped, so a sift
+   moves only unboxed floats and ints, never crosses the write barrier,
+   and a push or pop allocates nothing.  Free slots are kept past the end
+   of the heap in the slot array itself: positions [size ..] hold the
+   slots no entry uses, so a push takes the one at [size] and a pop puts
+   the root's slot back there.
 
    Beside the heap sit the timer lanes: FIFO rings for fixed-delay timers
    (RPC timeouts, lease watchers) whose times arrive in non-decreasing
@@ -25,7 +31,8 @@ type lane = {
 and t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable actions : (unit -> unit) array;
+  mutable slots : int array; (* heap entry's action slot; then free slots *)
+  mutable actions : (unit -> unit) array; (* by slot; [nop] when free *)
   mutable size : int;
   mutable lanes : lane array;
   mutable clock : float;
@@ -38,6 +45,7 @@ let create ?(tracer = Obs.Tracer.null) () =
   {
     times = Array.make 64 0.;
     seqs = Array.make 64 0;
+    slots = Array.init 64 Fun.id;
     actions = Array.make 64 nop;
     size = 0;
     lanes = [||];
@@ -65,21 +73,29 @@ let advance t times i =
 
 (* --- heap ---------------------------------------------------------------- *)
 
+(* Only a full heap grows, so every old slot is live and the new ones are
+   all free. *)
 let grow_heap t =
-  let cap = 2 * Array.length t.times in
+  let size = t.size in
+  let cap = 2 * size in
   let times = Array.make cap 0. and seqs = Array.make cap 0 in
-  let actions = Array.make cap nop in
-  Array.blit t.times 0 times 0 t.size;
-  Array.blit t.seqs 0 seqs 0 t.size;
-  Array.blit t.actions 0 actions 0 t.size;
+  let slots = Array.init cap Fun.id and actions = Array.make cap nop in
+  Array.blit t.times 0 times 0 size;
+  Array.blit t.seqs 0 seqs 0 size;
+  Array.blit t.slots 0 slots 0 size;
+  Array.blit t.actions 0 actions 0 size;
   t.times <- times;
   t.seqs <- seqs;
+  t.slots <- slots;
   t.actions <- actions
 
-(* Sift a hole up from the end and drop the entry where it lands. *)
+(* Store the action in the first free slot, then sift a hole up from the
+   end and drop the entry where it lands. *)
 let heap_push t ~time ~seq action =
   if t.size = Array.length t.times then grow_heap t;
-  let times = t.times and seqs = t.seqs and actions = t.actions in
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let slot = slots.(t.size) in
+  t.actions.(slot) <- action;
   let i = ref t.size in
   let moving = ref true in
   while !moving && !i > 0 do
@@ -88,27 +104,30 @@ let heap_push t ~time ~seq action =
     if time < pt || (time = pt && seq < seqs.(p)) then begin
       times.(!i) <- pt;
       seqs.(!i) <- seqs.(p);
-      actions.(!i) <- actions.(p);
+      slots.(!i) <- slots.(p);
       i := p
     end
     else moving := false
   done;
   times.(!i) <- time;
   seqs.(!i) <- seq;
-  actions.(!i) <- action;
+  slots.(!i) <- slot;
   t.size <- t.size + 1
 
-(* Pop the root (the heap must be non-empty): advance the clock to its
-   time, sift the last entry down from the root, and clear the vacated
-   slot so a fired action is not retained. *)
+(* Pop the root (the heap must be non-empty): take its action out of its
+   slot, so a fired action is not retained, advance the clock to its
+   time, sift the last entry down from the root, and free the slot into
+   the position the heap just gave up. *)
 let heap_pop t =
-  let times = t.times and seqs = t.seqs and actions = t.actions in
-  let action = actions.(0) in
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let slot = slots.(0) in
+  let action = t.actions.(slot) in
+  t.actions.(slot) <- nop;
   advance t times 0;
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
-    let time = times.(n) and seq = seqs.(n) and last = actions.(n) in
+    let time = times.(n) and seq = seqs.(n) and last = slots.(n) in
     let i = ref 0 in
     let moving = ref true in
     while !moving do
@@ -125,7 +144,7 @@ let heap_pop t =
         if ct < time || (ct = time && seqs.(c) < seq) then begin
           times.(!i) <- ct;
           seqs.(!i) <- seqs.(c);
-          actions.(!i) <- actions.(c);
+          slots.(!i) <- slots.(c);
           i := c
         end
         else moving := false
@@ -133,9 +152,9 @@ let heap_pop t =
     done;
     times.(!i) <- time;
     seqs.(!i) <- seq;
-    actions.(!i) <- last
+    slots.(!i) <- last
   end;
-  actions.(n) <- nop;
+  slots.(n) <- slot;
   action
 
 (* --- lanes --------------------------------------------------------------- *)

@@ -166,7 +166,7 @@ let handle_envelope t ~node ~src env =
       match Util.Itbl.find_opt t.pending rid with
       | None -> () (* request already decided *)
       | Some c ->
-        if List.mem src c.awaiting then begin
+        if Util.Ilist.mem src c.awaiting then begin
           c.awaiting <- List.filter (fun n -> n <> src) c.awaiting;
           c.replies <- (src, payload) :: c.replies;
           if c.awaiting = [] then decide t c

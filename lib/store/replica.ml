@@ -33,7 +33,8 @@ let pr_pw_cap = 64
 (* Recently-applied transaction ids, kept so a status query ("did txn T
    decide commit?") can be answered from local evidence.  Bounded: an entry
    is only needed while some replica may still hold T's lease, i.e. for one
-   lease horizon. *)
+   lease horizon.  The set reports each id it evicts, so [retained] follows
+   it in the same step. *)
 let applied_cap = 4096
 
 (* Copies live in one array indexed by oid: replica lookups are the
@@ -44,8 +45,7 @@ let applied_cap = 4096
 type t = {
   mutable slots : copy option array;  (* indexed by oid; grown on demand *)
   by_txn : int list ref Util.Itbl.t;  (* txn -> oids it holds leases on *)
-  applied : unit Util.Itbl.t;
-  applied_order : int Queue.t;
+  applied : Util.Fifo_set.t;
   (* Full write rows of recently-applied transactions, including rows for
      objects this replica does not host.  A cross-shard transaction's Apply
      carries the whole write set to every participant shard: keeping the
@@ -77,8 +77,7 @@ let create () =
   {
     slots = [||];
     by_txn = Util.Itbl.create 16;
-    applied = Util.Itbl.create 64;
-    applied_order = Queue.create ();
+    applied = Util.Fifo_set.create applied_cap;
     retained = Util.Itbl.create 64;
     xpeers = Util.Itbl.create 16;
     tracer = Obs.Tracer.null;
@@ -151,7 +150,7 @@ let lease_of t oid = (get t oid).protected_by
 
 let index_add t ~oid ~txn =
   match Util.Itbl.find_opt t.by_txn txn with
-  | Some oids -> if not (List.mem oid !oids) then oids := oid :: !oids
+  | Some oids -> if not (Util.Ilist.mem oid !oids) then oids := oid :: !oids
   | None -> Util.Itbl.replace t.by_txn txn (ref [ oid ])
 
 let index_remove t ~oid ~txn =
@@ -258,17 +257,10 @@ let held_leases t =
 (* --- applied-transaction evidence --------------------------------------- *)
 
 let note_applied t ~txn =
-  if not (Util.Itbl.mem t.applied txn) then begin
-    Util.Itbl.replace t.applied txn ();
-    Queue.push txn t.applied_order;
-    if Queue.length t.applied_order > applied_cap then begin
-      let evicted = Queue.pop t.applied_order in
-      Util.Itbl.remove t.applied evicted;
-      Util.Itbl.remove t.retained evicted
-    end
-  end
+  let evicted = Util.Fifo_set.add t.applied txn in
+  if evicted <> Util.Fifo_set.none then Util.Itbl.remove t.retained evicted
 
-let was_applied t ~txn = Util.Itbl.mem t.applied txn
+let was_applied t ~txn = Util.Fifo_set.mem t.applied txn
 
 let retain_writes t ~txn rows =
   if rows <> [] && not (Util.Itbl.mem t.retained txn) then
@@ -311,7 +303,7 @@ let apply t ~oid ~version ~value ~txn =
   unlock ~restore:false t ~oid ~txn
 
 let bounded_add txn entries =
-  if List.mem txn entries then entries
+  if Util.Ilist.mem txn entries then entries
   else begin
     let entries = txn :: entries in
     if List.length entries > pr_pw_cap then
@@ -383,7 +375,6 @@ let reset_transients t =
       | None -> ())
     t.slots;
   Util.Itbl.reset t.by_txn;
-  Util.Itbl.reset t.applied;
+  Util.Fifo_set.reset t.applied;
   Util.Itbl.reset t.retained;
-  Util.Itbl.reset t.xpeers;
-  Queue.clear t.applied_order
+  Util.Itbl.reset t.xpeers

@@ -119,8 +119,10 @@ val held_leases : t -> (int * int * float) list
     order — stall diagnostics. *)
 
 val note_applied : t -> txn:int -> unit
-(** Record that [txn]'s 2PC second phase reached this replica (bounded
-    memory; automatic from {!apply}). *)
+(** Record that [txn]'s 2PC second phase reached this replica (automatic
+    from {!apply}).  Memory is bounded: the replica remembers the last
+    4096 distinct txns, and recording one more forgets the oldest, with
+    its {!retain_writes} rows, in the same step. *)
 
 val was_applied : t -> txn:int -> bool
 (** Whether this replica observed an Apply from [txn] — the local evidence

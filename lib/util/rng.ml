@@ -60,17 +60,26 @@ let shuffle rng arr =
    bound; callers that care cache the result via partial application is not
    possible with mutable rng, so we memoise on (n, skew).
 
-   The memo table is the one piece of module-level mutable state in the
-   whole library, so it lives in domain-local storage: each domain of the
-   parallel harness keeps its own table and there is no cross-domain
-   sharing (and no locking on this per-draw path).  The cached array is a
-   pure function of (n, skew), so every domain computes identical values —
-   determinism is unaffected. *)
-let zipf_tables : (int * float, float array) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 7)
+   The memo is the one piece of module-level mutable state in the whole
+   library, so it lives in domain-local storage: each domain of the
+   parallel harness keeps its own and there is no cross-domain sharing
+   (and no locking on this per-draw path).  The cached array is a pure
+   function of (n, skew), so every domain computes identical values —
+   determinism is unaffected.  A workload draws from one distribution
+   again and again, so the last (n, skew) is remembered in front of the
+   table, and a draw then neither allocates nor hashes a boxed key. *)
+type zipf_memo = {
+  tables : (int * float, float array) Hashtbl.t;
+  mutable last_n : int;
+  mutable last_skew : float;
+  mutable last_cdf : float array;
+}
 
-let zipf_cdf n skew =
-  let tables = Domain.DLS.get zipf_tables in
+let zipf_memo : zipf_memo Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { tables = Hashtbl.create 7; last_n = 0; last_skew = 0.; last_cdf = [||] })
+
+let zipf_table tables n skew =
   match Hashtbl.find_opt tables (n, skew) with
   | Some cdf -> cdf
   | None ->
@@ -86,6 +95,18 @@ let zipf_cdf n skew =
     in
     Hashtbl.replace tables (n, skew) cdf;
     cdf
+
+(* [last_n = 0] until the first draw, and [zipf] never asks for n = 0. *)
+let zipf_cdf n skew =
+  let memo = Domain.DLS.get zipf_memo in
+  if n = memo.last_n && Float.equal skew memo.last_skew then memo.last_cdf
+  else begin
+    let cdf = zipf_table memo.tables n skew in
+    memo.last_n <- n;
+    memo.last_skew <- skew;
+    memo.last_cdf <- cdf;
+    cdf
+  end
 
 let zipf rng ~n ~skew =
   assert (n > 0);

@@ -170,8 +170,9 @@ let[@inline never] schedule_watched schedule =
   watch
 
 (* A popped action must not stay reachable from the queue: not from the
-   slot it fired from, and not from a stale copy left behind when the
-   heap's last entry moved up. *)
+   slot it fired from, not from a stale copy left behind when the heap's
+   last entry moved up, and not from a freed slot of a grown heap while it
+   waits to be reused.  A queued action stays reachable. *)
 let test_engine_releases_actions () =
   let engine = Sim.Engine.create () in
   let lane = Sim.Engine.lane engine in
@@ -186,12 +187,122 @@ let test_engine_releases_actions () =
   let drained = Sim.Engine.create () in
   let alone = schedule_watched (Sim.Engine.schedule_at drained ~time:1.) in
   Sim.Engine.run drained;
+  let grown = Sim.Engine.create () in
+  for i = 1 to 300 do
+    Sim.Engine.schedule grown ~delay:(Float.of_int (1000 + i)) nop
+  done;
+  let early =
+    List.init 20 (fun i ->
+        (Printf.sprintf "grown heap %d" i,
+         schedule_watched (Sim.Engine.schedule grown ~delay:(Float.of_int (i + 1)))))
+  in
+  let late = schedule_watched (Sim.Engine.schedule grown ~delay:5000.) in
+  Sim.Engine.run ~until:100. grown;
+  (* Reuse some, not all, of the freed slots. *)
+  for i = 1 to 5 do
+    Sim.Engine.schedule grown ~delay:(Float.of_int (200 + i)) nop
+  done;
   Gc.full_major ();
   List.iter
     (fun (what, watch) ->
       Alcotest.(check bool) (what ^ " action collected") false (Weak.check watch 0))
-    [ ("moved heap", moved); ("lane", laned); ("last heap", alone) ];
-  Alcotest.(check int) "later entries still queued" 2 (Sim.Engine.pending engine)
+    ([ ("moved heap", moved); ("lane", laned); ("last heap", alone) ] @ early);
+  Alcotest.(check bool) "queued action kept" true (Weak.check late 0);
+  Alcotest.(check int) "later entries still queued" 2 (Sim.Engine.pending engine);
+  Alcotest.(check int) "grown heap entries still queued" 306 (Sim.Engine.pending grown)
+
+(* A seeded run of every scheduling call, [step] and [run ~until] against
+   a reference set ordered by (time, seq).  Push-heavy phases grow the
+   heap past several doublings and drain-heavy ones empty it, so slots are
+   freed and reused across growths.  Every fired action must be the
+   model's least entry, and the clock and [pending] must agree after every
+   operation. *)
+module Model = Set.Make (struct
+  type t = float * int * int (* time, seq, id *)
+
+  let compare = compare
+end)
+
+let test_engine_model_seeded () =
+  let rng = Util.Rng.create 11 in
+  let engine = Sim.Engine.create () in
+  let lanes = [| Sim.Engine.lane engine; Sim.Engine.lane engine |] in
+  let model = ref Model.empty and clock = ref 0. in
+  let next_seq = ref 0 and next_id = ref 0 and fired = ref [] in
+  let add ~time ~seq =
+    let id = !next_id in
+    incr next_id;
+    model := Model.add (Float.max time !clock, seq, id) !model;
+    fun () -> fired := (Sim.Engine.now engine, id) :: !fired
+  in
+  let claim () =
+    let seq = !next_seq in
+    incr next_seq;
+    seq
+  in
+  (* Pop the model's least entry, as the engine must have fired it. *)
+  let expect_fired what =
+    let ((time, _, id) as least) = Model.min_elt !model in
+    model := Model.remove least !model;
+    clock := time;
+    match !fired with
+    | [ got ] ->
+      fired := [];
+      Alcotest.(check (pair (float 0.) int)) (what ^ ": fired least") (time, id) got
+    | _ -> Alcotest.failf "%s: expected one firing, got %d" what (List.length !fired)
+  in
+  let phases = [ (0.9, 400); (0.2, 400); (0.8, 1200); (0.1, 1500); (0.6, 1000) ] in
+  List.iteri
+    (fun p (push_share, ops) ->
+      for op = 1 to ops do
+        let what = Printf.sprintf "phase %d op %d" p op in
+        let now = !clock in
+        let offset () = Float.of_int (Util.Rng.int rng 300 - 5) in
+        if Util.Rng.float rng 1.0 < push_share then begin
+          match Util.Rng.int rng 4 with
+          | 0 ->
+            let delay = offset () in
+            Sim.Engine.schedule engine ~delay
+              (add ~time:(now +. Float.max 0. delay) ~seq:(claim ()))
+          | 1 ->
+            let time = now +. offset () in
+            Sim.Engine.schedule_at engine ~time (add ~time ~seq:(claim ()))
+          | 2 ->
+            let time = now +. offset () in
+            let seq = Sim.Engine.reserve_seq engine in
+            Alcotest.(check int) (what ^ ": reserved seq") (claim ()) seq;
+            Sim.Engine.schedule_at_seq engine ~time ~seq (add ~time ~seq)
+          | _ ->
+            let time = now +. offset () in
+            Sim.Engine.schedule_lane lanes.(Util.Rng.int rng 2) ~time (add ~time ~seq:(claim ()))
+        end
+        else if Util.Rng.int rng 8 > 0 then begin
+          let stepped = Sim.Engine.step engine in
+          Alcotest.(check bool) (what ^ ": step") (not (Model.is_empty !model)) stepped;
+          if stepped then expect_fired what
+        end
+        else begin
+          let limit = now +. Float.of_int (Util.Rng.int rng 8) in
+          Sim.Engine.run ~until:limit engine;
+          let due = Model.filter (fun (time, _, _) -> time <= limit) !model in
+          let want = List.map (fun (time, _, id) -> (time, id)) (Model.elements due) in
+          Alcotest.(check (list (pair (float 0.) int))) (what ^ ": run ~until") want
+            (List.rev !fired);
+          fired := [];
+          model := Model.diff !model due;
+          clock := Float.max limit (Model.fold (fun (time, _, _) c -> Float.max time c) due now)
+        end;
+        Alcotest.(check (float 0.)) (what ^ ": clock") !clock (Sim.Engine.now engine);
+        Alcotest.(check int) (what ^ ": pending") (Model.cardinal !model)
+          (Sim.Engine.pending engine)
+      done)
+    phases;
+  while not (Model.is_empty !model) do
+    Alcotest.(check bool) "drain: step" true (Sim.Engine.step engine);
+    expect_fired "drain"
+  done;
+  Alcotest.(check bool) "drained" false (Sim.Engine.step engine);
+  Alcotest.(check int) "events processed" !next_id (Sim.Engine.events_processed engine)
 
 let test_topology_mean_latency () =
   let topology = Sim.Topology.create ~seed:1 ~mean_latency:15. ~nodes:20 () in
@@ -673,6 +784,7 @@ let suite =
     Alcotest.test_case "engine pending counts lanes" `Quick test_engine_lane_pending;
     Alcotest.test_case "engine run ~until at lane head" `Quick test_engine_until_lane;
     Alcotest.test_case "engine drops fired actions" `Quick test_engine_releases_actions;
+    Alcotest.test_case "engine matches a seeded (time, seq) model" `Quick test_engine_model_seeded;
     Alcotest.test_case "topology mean latency" `Quick test_topology_mean_latency;
     Alcotest.test_case "topology uniform" `Quick test_uniform_topology;
     Alcotest.test_case "network delivery and counting" `Quick test_network_delivery_and_counting;

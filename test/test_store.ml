@@ -158,6 +158,35 @@ let test_replica_reset_transients () =
   Alcotest.check value_testable "value kept" (Value.Int 12) (Replica.get store 6).value;
   Alcotest.(check bool) "relockable" true (Replica.try_lock store ~oid:1 ~txn:9)
 
+(* The applied-txn evidence keeps the last 4096 distinct txns: the
+   4097th forgets the oldest, and its retained rows go in the same step.
+   Re-applying a remembered txn neither reorders nor evicts. *)
+let test_replica_applied_horizon () =
+  let store = Replica.create () in
+  Replica.install store ~oid:1 ~init:(Value.Int 0);
+  let apply txn =
+    Replica.retain_writes store ~txn [ (1, txn, Value.Int txn) ];
+    Replica.apply store ~oid:1 ~version:txn ~value:(Value.Int txn) ~txn
+  in
+  for txn = 1 to 4096 do
+    apply txn
+  done;
+  apply 1;
+  Alcotest.(check bool) "oldest still applied" true (Replica.was_applied store ~txn:1);
+  Alcotest.(check int) "oldest rows kept" 1 (List.length (Replica.retained_writes store ~txn:1));
+  apply 4097;
+  Alcotest.(check bool) "oldest forgotten" false (Replica.was_applied store ~txn:1);
+  Alcotest.(check (list (triple int int value_testable))) "oldest rows forgotten" []
+    (Replica.retained_writes store ~txn:1);
+  Alcotest.(check bool) "second kept" true (Replica.was_applied store ~txn:2);
+  Alcotest.(check int) "second rows kept" 1 (List.length (Replica.retained_writes store ~txn:2));
+  Alcotest.(check bool) "newest applied" true (Replica.was_applied store ~txn:4097);
+  apply 1;
+  Alcotest.(check bool) "re-added at the tail" true (Replica.was_applied store ~txn:1);
+  Alcotest.(check bool) "second now forgotten" false (Replica.was_applied store ~txn:2);
+  Alcotest.(check (list (triple int int value_testable))) "second rows forgotten" []
+    (Replica.retained_writes store ~txn:2)
+
 let test_multiversion () =
   let mv = Multiversion.create ~history_limit:3 () in
   Multiversion.ensure mv ~oid:1 ~init:(Value.Int 0);
@@ -190,6 +219,7 @@ let suite =
     Alcotest.test_case "replica sparse slots" `Quick test_replica_sparse_slots;
     Alcotest.test_case "replica held leases order" `Quick test_replica_held_leases_order;
     Alcotest.test_case "replica reset transients" `Quick test_replica_reset_transients;
+    Alcotest.test_case "replica applied horizon" `Quick test_replica_applied_horizon;
     Alcotest.test_case "multiversion history" `Quick test_multiversion;
   ]
   @ [ QCheck_alcotest.to_alcotest value_equal_reflexive ]

@@ -207,6 +207,88 @@ let test_itbl_model () =
     [ 5; 1 lsl 35; -3; 77 ];
   agree_all "after reset"
 
+(* [Util.Fifo_set] against a [Hashtbl] + [Queue] model, over caps that
+   fill the table to its densest (a power of two), leave the ring part
+   empty, or hold one member.  Keys come from a range about twice the cap,
+   so members are re-added while present and after eviction, and small
+   tables see long probe clusters that wrap past the end and deletions
+   from their middle.  After every op the evicted id, the touched key and
+   the size agree; after the loop and after [reset], every touched key
+   agrees. *)
+let test_fifo_set_model () =
+  let none = Util.Fifo_set.none in
+  List.iter
+    (fun cap ->
+      let rng = Util.Rng.create cap in
+      let fifo = Util.Fifo_set.create cap in
+      let order = Queue.create () and model = Hashtbl.create 16 in
+      let touched = Hashtbl.create 16 in
+      let model_replace k v =
+        if Hashtbl.mem model k then begin
+          Hashtbl.replace model k v;
+          none
+        end
+        else begin
+          let evicted =
+            if Queue.length order = cap then begin
+              let e = Queue.pop order in
+              Hashtbl.remove model e;
+              e
+            end
+            else none
+          in
+          Queue.push k order;
+          Hashtbl.replace model k v;
+          evicted
+        end
+      in
+      let agree what key =
+        let what = Printf.sprintf "cap %d, %s, key %d" cap what key in
+        Alcotest.(check bool) (what ^ ": mem") (Hashtbl.mem model key) (Util.Fifo_set.mem fifo key);
+        Alcotest.(check int)
+          (what ^ ": find")
+          (Option.value ~default:(-1) (Hashtbl.find_opt model key))
+          (Util.Fifo_set.find fifo key ~default:(-1));
+        Alcotest.(check int) (what ^ ": length") (Hashtbl.length model) (Util.Fifo_set.length fifo)
+      in
+      let agree_all what = Hashtbl.iter (fun key () -> agree what key) touched in
+      let special = [| 0; -1; max_int; min_int + 1; 1 lsl 40; -(1 lsl 33) |] in
+      for i = 1 to 20_000 do
+        let key =
+          if Util.Rng.int rng 10 = 0 then special.(Util.Rng.int rng (Array.length special))
+          else Util.Rng.int rng ((2 * cap) + 3)
+        in
+        Hashtbl.replace touched key ();
+        let what = Printf.sprintf "op %d" i in
+        (match Util.Rng.int rng 3 with
+        | 0 ->
+          Alcotest.(check int) (what ^ ": add evicts") (model_replace key 0)
+            (Util.Fifo_set.add fifo key)
+        | 1 ->
+          Alcotest.(check int) (what ^ ": replace evicts") (model_replace key i)
+            (Util.Fifo_set.replace fifo key i)
+        | _ -> ());
+        agree what key
+      done;
+      agree_all "after loop";
+      Util.Fifo_set.reset fifo;
+      Queue.clear order;
+      Hashtbl.reset model;
+      agree_all "after reset";
+      for key = 0 to (2 * cap) + 1 do
+        Hashtbl.replace touched key ();
+        Alcotest.(check int) "refill evicts" (model_replace key key)
+          (Util.Fifo_set.replace fifo key key)
+      done;
+      agree_all "after refill")
+    [ 1; 8; 37; 64 ];
+  Alcotest.check_raises "min_int is not a member"
+    (Invalid_argument "Fifo_set: min_int is not a valid member")
+    (fun () -> ignore (Util.Fifo_set.add (Util.Fifo_set.create 4) min_int));
+  Alcotest.check_raises "cap must be positive"
+    (Invalid_argument "Fifo_set.create: cap must be positive")
+    (fun () -> ignore (Util.Fifo_set.create 0))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -227,5 +309,6 @@ let suite =
     Alcotest.test_case "hdr merge and clamp" `Quick test_hdr_merge_and_clamp;
     Alcotest.test_case "table rendering" `Quick test_table_render;
     Alcotest.test_case "itbl agrees with Hashtbl model" `Quick test_itbl_model;
+    Alcotest.test_case "fifo_set agrees with Hashtbl and Queue model" `Quick test_fifo_set_model;
   ]
   @ qcheck_cases
