@@ -1,129 +1,27 @@
-(* Benchmark harness.
+(* Benchmark harness: the measurements that neither the committed
+   benchmark (perfbench/, BENCHMARK.json) nor the test suite makes.
 
-   Entry points:
+   1. Default: the ablation sweeps DESIGN.md calls out, at quick scale.
+   2. `overhead`: the lifecycle tracer's cost on the simulator hot path.
+      Alternated untraced and traced runs of a closed-loop bank workload;
+      exits 1 if the median untraced events/s exceeds the median traced
+      events/s by more than 15%.
 
-   1. Default: regenerate every table and figure of the paper's evaluation
-      (quick scale; see `qr-dtm all --scale full` for paper-like runs), plus
-      the ablation sweeps DESIGN.md calls out, plus Bechamel
-      micro-benchmarks of the core operations.
-   2. `wall`: wall-clock benchmark of the figure-regeneration suite at
-      --jobs 1 vs --jobs N, verifying byte-identical output and emitting
-      BENCH_harness.json (see EXPERIMENTS.md for the format).
-   3. `alloc`: GC-counter benchmark of the simulator hot path — minor and
-      major words allocated per committed transaction, written to the same
-      JSON (the CI gate compares both throughput and allocation rate).
-   4. `openloop`: the open-loop (Poisson-arrival) driver at an offered load
-      below and far above the cluster's capacity, emitting
-      BENCH_openloop.json and sanity-gating the saturation signature:
-      under load, achieved tracks offered; past saturation, queueing delay
-      dominates while service latency stays bounded.
-
-   Run with: dune exec bench/main.exe -- [wall|alloc|openloop] [--jobs N]
-                                          [--scale quick|full] [--out FILE] *)
+   Run with: dune exec bench/main.exe -- [overhead] *)
 
 open Core
 
-(* --- command line ------------------------------------------------------ *)
+let overhead_mode =
+  match Sys.argv with
+  | [| _ |] -> false
+  | [| _; "overhead" |] -> true
+  | _ ->
+    prerr_endline "usage: bench/main.exe [overhead]";
+    exit 2
 
-type cli = {
-  mutable wall : bool;
-  mutable alloc : bool;
-  mutable openloop : bool;
-  mutable jobs : int;
-  mutable scale_name : string;
-  mutable out : string;
-  mutable baseline : string option;
-  mutable max_regression : float;
-  mutable max_traced_overhead : float;
-  mutable max_alloc_regression : float;
-  mutable min_batch_speedup : float;
-}
-
-let cli =
-  {
-    wall = false;
-    alloc = false;
-    openloop = false;
-    jobs = Harness.Pool.default_jobs ();
-    scale_name = "quick";
-    out = "BENCH_harness.json";
-    baseline = None;
-    max_regression = 2.0;
-    max_traced_overhead = 15.0;
-    max_alloc_regression = 20.0;
-    min_batch_speedup = 3.0;
-  }
-
-let usage () =
-  prerr_endline
-    "usage: bench/main.exe [wall|alloc|openloop] [--jobs N] [--scale quick|full] [--out FILE]\n\
-    \                      [--baseline FILE] [--max-regression PCT]\n\
-    \                      [--max-traced-overhead PCT] [--max-alloc-regression PCT]\n\
-    \                      [--min-batch-speedup X]";
-  exit 2
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "wall" :: rest -> cli.wall <- true; parse rest
-    | "alloc" :: rest -> cli.alloc <- true; parse rest
-    | "openloop" :: rest -> cli.openloop <- true; parse rest
-    | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with Some j when j >= 1 -> cli.jobs <- j | _ -> usage ());
-      parse rest
-    | "--scale" :: s :: rest ->
-      if s = "quick" || s = "full" then cli.scale_name <- s else usage ();
-      parse rest
-    | "--out" :: file :: rest -> cli.out <- file; parse rest
-    | "--baseline" :: file :: rest -> cli.baseline <- Some file; parse rest
-    | "--max-regression" :: p :: rest ->
-      (match float_of_string_opt p with Some v when v > 0. -> cli.max_regression <- v | _ -> usage ());
-      parse rest
-    | "--max-traced-overhead" :: p :: rest ->
-      (match float_of_string_opt p with
-      | Some v when v > 0. -> cli.max_traced_overhead <- v
-      | _ -> usage ());
-      parse rest
-    | "--max-alloc-regression" :: p :: rest ->
-      (match float_of_string_opt p with
-      | Some v when v > 0. -> cli.max_alloc_regression <- v
-      | _ -> usage ());
-      parse rest
-    | "--min-batch-speedup" :: p :: rest ->
-      (match float_of_string_opt p with
-      | Some v when v > 0. -> cli.min_batch_speedup <- v
-      | _ -> usage ());
-      parse rest
-    | _ -> usage ()
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-(* Satellite of the zero-allocation work: asking for more workers than the
-   machine has cores used to *slow the bench down* (domains time-slicing one
-   core) and then fail the speedup sanity check.  Record what was asked and
-   what was granted; skip the parallel pass entirely on a single core. *)
-let jobs_requested = cli.jobs
-let jobs_effective = Stdlib.max 1 (Stdlib.min cli.jobs (Harness.Pool.default_jobs ()))
-
-let scale =
-  if cli.scale_name = "full" then Harness.Figures.full else Harness.Figures.quick
+let scale = Harness.Figures.quick
 
 let print_series series = print_string (Harness.Report.render series)
-
-let figures () =
-  print_endline "==================================================================";
-  print_endline "Paper evaluation regeneration (quick scale)";
-  print_endline "==================================================================";
-  List.iter
-    (fun benchmark ->
-      print_series (Harness.Figures.fig5 ~scale ~benchmark ());
-      print_series (Harness.Figures.fig6 ~scale ~benchmark ());
-      print_series (Harness.Figures.fig7 ~scale ~benchmark ()))
-    Benchmarks.Registry.paper_suite;
-  print_series (Harness.Figures.table8 ~scale ());
-  List.iter print_series (Harness.Figures.fig9 ~scale ());
-  print_series (Harness.Figures.fig10 ~scale ());
-  print_series (Harness.Figures.summary ~scale ())
 
 (* --- Ablations --------------------------------------------------------- *)
 
@@ -303,138 +201,16 @@ let ablations () =
   ablation_commit_lock_retries ();
   ablation_open_nesting ()
 
-(* --- Bechamel micro-benchmarks ----------------------------------------- *)
+(* --- tracer overhead (`overhead` mode) ------------------------------- *)
 
-let micro_tests () =
-  let open Bechamel in
-  let tree_quorum =
-    let tq = Quorum.Tree_quorum.create ~nodes:40 () in
-    Test.make ~name:"tree_quorum.read+write" (Staged.stage (fun () ->
-        ignore (Quorum.Tree_quorum.read_quorum ~salt:3 tq);
-        ignore (Quorum.Tree_quorum.write_quorum ~salt:3 tq)))
-  in
-  let replica_ops =
-    let store = Store.Replica.create () in
-    for oid = 0 to 255 do
-      Store.Replica.ensure store ~oid ~init:(Store.Value.Int oid)
-    done;
-    let counter = ref 0 in
-    Test.make ~name:"replica.lock+apply" (Staged.stage (fun () ->
-        let oid = !counter land 255 in
-        incr counter;
-        ignore (Store.Replica.try_lock store ~oid ~txn:1);
-        Store.Replica.apply store ~oid ~version:(!counter) ~value:(Store.Value.Int !counter)
-          ~txn:1))
-  in
-  let rqv_validate =
-    let store = Store.Replica.create () in
-    for oid = 0 to 31 do
-      Store.Replica.ensure store ~oid ~init:Store.Value.Unit
-    done;
-    let dataset =
-      Messages.dataset_of_list
-        (List.init 16 (fun oid -> { Messages.oid; version = 0; owner = oid land 3 }))
-    in
-    Test.make ~name:"rqv.validate(16 entries)" (Staged.stage (fun () ->
-        ignore (Rqv.validate store ~txn:1 ~dataset)))
-  in
-  let rwset_ops =
-    Test.make ~name:"rwset.add x16 + merge" (Staged.stage (fun () ->
-        let set =
-          List.fold_left
-            (fun s oid ->
-              Rwset.add s { Rwset.oid; version = 0; value = Store.Value.Int oid; owner = 0 })
-            Rwset.empty
-            (List.init 16 Fun.id)
-        in
-        ignore (Rwset.merge_into ~child:set ~parent:set)))
-  in
-  let engine_ops =
-    (* 128 far-future events stay queued: about the heap depth a QR-CN run
-       keeps once its fixed-delay timers sit in lanes. *)
-    let engine = Sim.Engine.create () in
-    let nop () = () in
-    for i = 0 to 127 do
-      Sim.Engine.schedule engine ~delay:(1e12 +. Float.of_int i) nop
-    done;
-    Test.make ~name:"engine.schedule+step x64" (Staged.stage (fun () ->
-        for i = 0 to 63 do
-          Sim.Engine.schedule engine ~delay:(Float.of_int ((i * 37) land 63)) nop
-        done;
-        for _ = 0 to 63 do
-          ignore (Sim.Engine.step engine)
-        done))
-  in
-  let rng_ops =
-    let rng = Util.Rng.create 5 in
-    Test.make ~name:"rng.zipf" (Staged.stage (fun () -> ignore (Util.Rng.zipf rng ~n:256 ~skew:0.8)))
-  in
-  let txn_interpret =
-    let cluster = Cluster.create ~nodes:13 ~seed:77 ~with_oracle:false (Config.default Config.Closed) in
-    let oid = Cluster.alloc_object cluster ~init:(Store.Value.Int 0) in
-    Test.make ~name:"cluster.txn end-to-end" (Staged.stage (fun () ->
-        ignore (Cluster.run_program cluster ~node:3 (fun () -> Txn.read oid))))
-  in
-  [ tree_quorum; replica_ops; rqv_validate; rwset_ops; engine_ops; rng_ops; txn_interpret ]
-
-let micro () =
-  let open Bechamel in
-  print_endline "==================================================================";
-  print_endline "Bechamel micro-benchmarks (ns per run, OLS fit)";
-  print_endline "==================================================================";
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 100) () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analysis = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let estimate =
-            match Analyze.OLS.estimates ols_result with
-            | Some [ e ] -> Printf.sprintf "%12.1f ns/run" e
-            | Some _ | None -> "(no estimate)"
-          in
-          Printf.printf "%-32s %s\n%!" name estimate)
-        analysis)
-    (micro_tests ())
-
-(* --- wall-clock bench (`wall` mode) ------------------------------------ *)
-
-(* The figure-regeneration suite rendered to one string: the unit of work
-   the wall bench times, and the artifact the jobs-1-vs-N identity check
-   compares byte for byte. *)
-let render_everything () =
-  let series = Harness.Figures.everything ~scale () in
-  String.concat "" (List.map Harness.Report.render series)
-
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let result = f () in
-  (Unix.gettimeofday () -. t0, result)
+let max_traced_overhead_pct = 15.
+let overhead_pairs = 5
 
 (* Raw simulator event throughput: drive a closed-loop bank workload for a
    fixed stretch of virtual time and divide dispatched events by wall
-   seconds.  This isolates the per-event constant factor from the
-   parallel-harness speedup.  [tracer] lets the wall bench measure the cost
-   of lifecycle tracing (enabled vs the default null tracer); the commit
-   latency percentiles of the workload and the GC allocation counters over
-   the measured stretch ride along for BENCH_harness.json. *)
-type eps_stats = {
-  eps : float;
-  events : int;
-  commits : int;
-  minor_words_per_commit : float;
-  major_words_per_commit : float;
-  promoted_words_per_commit : float;
-  p50 : float;
-  p95 : float;
-  p99 : float;
-}
-
+   seconds, with [tracer] attached (the null tracer by default).  Each run
+   starts from a fully collected heap, so earlier runs' tracers (8 arrays
+   of 2^20 cells each) do not slow the runs after them. *)
 let events_per_second ?(tracer = Obs.Tracer.null) () =
   let cluster =
     Cluster.create ~nodes:13 ~seed:11 ~with_oracle:false ~tracer
@@ -460,390 +236,40 @@ let events_per_second ?(tracer = Obs.Tracer.null) () =
   for c = 0 to 25 do
     client (c mod 13) (Util.Rng.split rng)
   done;
-  (* GC deltas bracket exactly the measured stretch (setup allocations and
-     the drain are excluded), so words/commit reflects steady state. *)
-  let stat0 = Gc.quick_stat () in
-  let minor0 = Gc.minor_words () in
-  let wall, () = timed (fun () -> Cluster.run_for cluster 10_000.) in
-  let minor1 = Gc.minor_words () in
-  let stat1 = Gc.quick_stat () in
+  Gc.compact ();
+  let t0 = Unix.gettimeofday () in
+  Cluster.run_for cluster 10_000.;
+  let wall = Unix.gettimeofday () -. t0 in
   stop := true;
   Cluster.drain cluster;
-  let events = Sim.Engine.events_processed (Cluster.engine cluster) in
-  let metrics = Cluster.metrics cluster in
-  let commits = Metrics.commits metrics in
-  let per_commit w = w /. Float.of_int (Stdlib.max 1 commits) in
-  {
-    eps = Float.of_int events /. wall;
-    events;
-    commits;
-    minor_words_per_commit = per_commit (minor1 -. minor0);
-    major_words_per_commit = per_commit (stat1.Gc.major_words -. stat0.Gc.major_words);
-    promoted_words_per_commit =
-      per_commit (stat1.Gc.promoted_words -. stat0.Gc.promoted_words);
-    p50 = Metrics.latency_percentile metrics 50.;
-    p95 = Metrics.latency_percentile metrics 95.;
-    p99 = Metrics.latency_percentile metrics 99.;
-  }
+  Float.of_int (Sim.Engine.events_processed (Cluster.engine cluster)) /. wall
 
-(* --- batch-commit vs sequential commit throughput ----------------------- *)
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  a.(Array.length a / 2)
 
-(* Write-heavy contended bank (few hot accounts, 2 transfers per txn):
-   the regime PROTOCOL.md §9's commit queues target.  Sequentially, hot
-   transactions serialize through stale-read aborts — roughly one commit
-   per quorum round trip per hot object.  Batched, conflicting updates
-   chain through the coordinator's write images and an entire chain
-   commits in one round. *)
-type batch_stats = {
-  seq_cps : float;
-  batch_cps : float;
-  batch_speedup : float;
-  occupancy_p50 : float;
-  occupancy_p95 : float;
-  spec_aborts : int;
-}
-
-let measure_batch () =
-  let point ~batch_commit =
-    Harness.Experiment.run ~nodes:9 ~clients:24 ~seed:131 ~warmup:500.
-      ~duration:3_000. ~batch_commit
-      ~config:(Config.default Config.Flat)
-      ~benchmark:Benchmarks.Bank.benchmark
-      ~params:
-        { Benchmarks.Workload.default_params with objects = 8; calls = 2; read_ratio = 0.1; key_skew = 0.5 }
-      ()
+(* Pair i runs untraced first when i is even and traced first when i is
+   odd, so slow drift of the host's load falls on both sides alike. *)
+let overhead () =
+  let untraced = ref [] and traced = ref [] in
+  let run_untraced () = untraced := events_per_second () :: !untraced in
+  let run_traced () =
+    traced := events_per_second ~tracer:(Obs.Tracer.create ()) () :: !traced
   in
-  let guard label (r : Harness.Experiment.result) =
-    (match r.invariant with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "FAIL: %s bank invariant: %s\n" label msg;
-      exit 1);
-    match r.consistent with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "FAIL: %s serializability oracle: %s\n" label msg;
-      exit 1
-  in
-  let seq = point ~batch_commit:false in
-  let batch = point ~batch_commit:true in
-  guard "sequential" seq;
-  guard "batch" batch;
-  let stats =
-    {
-      seq_cps = seq.throughput;
-      batch_cps = batch.throughput;
-      batch_speedup =
-        (if seq.throughput > 0. then batch.throughput /. seq.throughput else 0.);
-      occupancy_p50 = batch.batch_occupancy_p50;
-      occupancy_p95 = batch.batch_occupancy_p95;
-      spec_aborts = batch.speculation_aborts;
-    }
-  in
+  for i = 0 to overhead_pairs - 1 do
+    if i mod 2 = 0 then (run_untraced (); run_traced ())
+    else (run_traced (); run_untraced ())
+  done;
+  let u = median !untraced and t = median !traced in
+  let pct = ((u /. t) -. 1.) *. 100. in
   Printf.printf
-    "  batch commit: %.1f -> %.1f commits/s (%.1fx), occupancy p50=%.0f p95=%.0f, \
-     %d speculation aborts\n%!"
-    stats.seq_cps stats.batch_cps stats.batch_speedup stats.occupancy_p50
-    stats.occupancy_p95 stats.spec_aborts;
-  stats
-
-let emit_batch_fields oc (b : batch_stats) =
-  Printf.fprintf oc
-    "  \"commits_per_sec_seq\": %.2f,\n\
-    \  \"commits_per_sec_batch\": %.2f,\n\
-    \  \"batch_speedup\": %.3f,\n\
-    \  \"batch_occupancy_p50\": %.1f,\n\
-    \  \"batch_occupancy_p95\": %.1f,\n\
-    \  \"speculation_aborts\": %d,\n"
-    b.seq_cps b.batch_cps b.batch_speedup b.occupancy_p50 b.occupancy_p95
-    b.spec_aborts
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Pull one numeric field out of a previous BENCH_harness.json without a
-   JSON dependency: find the quoted key, parse the float after the colon. *)
-let baseline_field path key =
-  let contents =
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  let needle = Printf.sprintf "\"%s\":" key in
-  let n = String.length contents and m = String.length needle in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub contents i m = needle then Some (i + m)
-    else find (i + 1)
-  in
-  Option.bind (find 0) (fun start ->
-      let stop = ref start in
-      while !stop < n && not (List.mem contents.[!stop] [ ','; '\n'; '}' ]) do
-        incr stop
-      done;
-      float_of_string_opt (String.trim (String.sub contents start (!stop - start))))
-
-(* Shared JSON tail: simulator throughput, tracing overhead, latency and
-   allocation-rate fields, emitted by both `wall` and `alloc` modes so the
-   CI gate can diff either artifact against a cached baseline. *)
-let emit_sim_fields oc ~(untraced : eps_stats) ~(traced : eps_stats)
-    ~tracing_overhead_pct =
-  Printf.fprintf oc
-    "  \"events_per_second\": %.1f,\n\
-    \  \"events_per_second_traced\": %.1f,\n\
-    \  \"tracing_overhead_pct\": %.2f,\n\
-    \  \"latency_p50_ms\": %.3f,\n\
-    \  \"latency_p95_ms\": %.3f,\n\
-    \  \"latency_p99_ms\": %.3f,\n\
-    \  \"events_measured\": %d,\n\
-    \  \"commits_measured\": %d,\n\
-    \  \"minor_words_per_commit\": %.1f,\n\
-    \  \"major_words_per_commit\": %.1f,\n\
-    \  \"promoted_words_per_commit\": %.1f,\n\
-    \  \"minor_words_per_commit_traced\": %.1f,\n\
-    \  \"jobs_requested\": %d,\n\
-    \  \"jobs_effective\": %d,\n\
-    \  \"available_cores\": %d\n"
-    untraced.eps traced.eps tracing_overhead_pct untraced.p50 untraced.p95
-    untraced.p99 untraced.events untraced.commits untraced.minor_words_per_commit
-    untraced.major_words_per_commit untraced.promoted_words_per_commit
-    traced.minor_words_per_commit jobs_requested jobs_effective
-    (Harness.Pool.default_jobs ())
-
-(* Measure untraced and traced hot-path stats; the delta is the cost of
-   emitting ~1 ring-buffer write per protocol step.  The headline
-   [events_per_second] stays the tracing-disabled figure — the
-   zero-overhead-when-disabled claim is what the --baseline gate guards. *)
-let measure_simulator () =
-  let untraced = events_per_second () in
-  let traced = events_per_second ~tracer:(Obs.Tracer.create ()) () in
-  let tracing_overhead_pct =
-    if traced.eps > 0. then ((untraced.eps /. traced.eps) -. 1.) *. 100. else 0.
-  in
-  Printf.printf "  simulator: %.0f events/s (%d events, bank workload)\n%!"
-    untraced.eps untraced.events;
-  Printf.printf "  simulator (traced): %.0f events/s (tracing overhead %.2f%%)\n%!"
-    traced.eps tracing_overhead_pct;
-  Printf.printf
-    "  allocation: %.0f minor + %.0f major words/commit (traced: %.0f minor)\n%!"
-    untraced.minor_words_per_commit untraced.major_words_per_commit
-    traced.minor_words_per_commit;
-  Printf.printf "  commit latency: p50=%.1f p95=%.1f p99=%.1f ms (simulated)\n%!"
-    untraced.p50 untraced.p95 untraced.p99;
-  (untraced, traced, tracing_overhead_pct)
-
-(* The regression gates shared by `wall` and `alloc`.  A baseline written
-   before this bench grew a field reports "n/a" and skips that check rather
-   than comparing against nan or 0. *)
-let run_gates ~(untraced : eps_stats) ~tracing_overhead_pct ~(batch : batch_stats) =
-  if tracing_overhead_pct > cli.max_traced_overhead then begin
-    Printf.eprintf "FAIL: tracing overhead %.2f%% exceeds limit %.1f%%\n"
-      tracing_overhead_pct cli.max_traced_overhead;
+    "tracer overhead: %.0f events/s untraced, %.0f traced (medians of %d \
+     alternated pairs): %.2f%% (limit %.0f%%)\n"
+    u t overhead_pairs pct max_traced_overhead_pct;
+  if pct > max_traced_overhead_pct then begin
+    prerr_endline "FAIL: tracing overhead exceeds its limit";
     exit 1
-  end;
-  if batch.batch_speedup < cli.min_batch_speedup then begin
-    Printf.eprintf
-      "FAIL: batch-commit speedup %.2fx below required %.2fx (%.1f -> %.1f commits/s)\n"
-      batch.batch_speedup cli.min_batch_speedup batch.seq_cps batch.batch_cps;
-    exit 1
-  end;
-  Option.iter
-    (fun path ->
-      let audit key ~current ~limit ~higher_is_worse ~what =
-        match baseline_field path key with
-        | None ->
-          Printf.printf "  baseline %s: n/a (field missing in %s); check skipped\n%!"
-            key path
-        | Some base when base <= 0. ->
-          Printf.printf "  baseline %s: n/a (non-positive in %s); check skipped\n%!"
-            key path
-        | Some base ->
-          let regression_pct =
-            if higher_is_worse then ((current /. base) -. 1.) *. 100.
-            else (1. -. (current /. base)) *. 100.
-          in
-          Printf.printf
-            "  baseline %s (%s): %.0f -> %.0f, regression %.2f%% (limit %.1f%%)\n%!"
-            key path base current regression_pct limit;
-          if regression_pct > limit then begin
-            Printf.eprintf "FAIL: %s regressed %.2f%% vs baseline (limit %.1f%%)\n"
-              what regression_pct limit;
-            exit 1
-          end
-      in
-      audit "events_per_second" ~current:untraced.eps ~limit:cli.max_regression
-        ~higher_is_worse:false ~what:"tracing-disabled simulator throughput";
-      audit "minor_words_per_commit" ~current:untraced.minor_words_per_commit
-        ~limit:cli.max_alloc_regression ~higher_is_worse:true
-        ~what:"minor allocation per committed transaction";
-      audit "major_words_per_commit" ~current:untraced.major_words_per_commit
-        ~limit:cli.max_alloc_regression ~higher_is_worse:true
-        ~what:"major allocation per committed transaction")
-    cli.baseline
-
-let wall_bench () =
-  Printf.printf "wall bench: figure regeneration at --scale %s, --jobs 1 vs --jobs %d\n%!"
-    cli.scale_name jobs_effective;
-  if jobs_effective < jobs_requested then
-    Printf.printf "  (clamped --jobs %d to %d available core%s)\n%!" jobs_requested
-      jobs_effective
-      (if jobs_effective = 1 then "" else "s");
-  Harness.Pool.set_jobs 1;
-  let seq_seconds, seq_output = timed render_everything in
-  Printf.printf "  jobs=1: %.2f s\n%!" seq_seconds;
-  (* On a single core a second pass measures only scheduler noise: skip it,
-     and publish null speedup/identity so downstream tooling knows the
-     comparison never ran (rather than seeing a fake 1.0x). *)
-  let par_ran = jobs_effective > 1 in
-  let par_seconds, par_output =
-    if par_ran then begin
-      Harness.Pool.set_jobs jobs_effective;
-      let r = timed render_everything in
-      Harness.Pool.set_jobs 1;
-      r
-    end
-    else (0., seq_output)
-  in
-  if par_ran then Printf.printf "  jobs=%d: %.2f s\n%!" jobs_effective par_seconds
-  else Printf.printf "  jobs=%d pass skipped (single core)\n%!" jobs_requested;
-  let identical = String.equal seq_output par_output in
-  let speedup = if par_seconds > 0. then seq_seconds /. par_seconds else 0. in
-  if par_ran then
-    Printf.printf "  speedup: %.2fx, identical output: %b\n%!" speedup identical;
-  let untraced, traced, tracing_overhead_pct = measure_simulator () in
-  let batch = measure_batch () in
-  let oc = open_out cli.out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"harness_wall\",\n\
-    \  \"scale\": \"%s\",\n\
-    \  \"jobs\": %d,\n\
-    \  \"wall_seconds_jobs1\": %.6f,\n"
-    (json_escape cli.scale_name) jobs_effective seq_seconds;
-  if par_ran then
-    Printf.fprintf oc
-      "  \"wall_seconds_jobsN\": %.6f,\n\
-      \  \"speedup\": %.4f,\n\
-      \  \"output_identical\": %b,\n"
-      par_seconds speedup identical
-  else
-    Printf.fprintf oc
-      "  \"wall_seconds_jobsN\": null,\n\
-      \  \"speedup\": null,\n\
-      \  \"output_identical\": null,\n";
-  emit_batch_fields oc batch;
-  emit_sim_fields oc ~untraced ~traced ~tracing_overhead_pct;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" cli.out;
-  if par_ran && not identical then begin
-    prerr_endline "FAIL: parallel output differs from sequential output";
-    exit 1
-  end;
-  run_gates ~untraced ~tracing_overhead_pct ~batch
-
-(* `alloc` mode: just the simulator hot-path measurement — fast enough to
-   run on every push, gating both throughput and allocation rate. *)
-let alloc_bench () =
-  print_endline "alloc bench: GC counters over the simulator hot path (bank workload)";
-  let untraced, traced, tracing_overhead_pct = measure_simulator () in
-  let batch = measure_batch () in
-  let oc = open_out cli.out in
-  Printf.fprintf oc "{\n  \"bench\": \"harness_alloc\",\n  \"scale\": \"%s\",\n"
-    (json_escape cli.scale_name);
-  emit_batch_fields oc batch;
-  emit_sim_fields oc ~untraced ~traced ~tracing_overhead_pct;
-  Printf.fprintf oc "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" cli.out;
-  run_gates ~untraced ~tracing_overhead_pct ~batch
-
-(* `openloop` mode: Poisson arrivals from a million-client logical
-   population at two offered loads — one the cluster absorbs, one far past
-   its capacity — emitting BENCH_openloop.json and gating the saturation
-   signature.  The sub-saturation point checks the driver itself (achieved
-   tracks offered, no standing queue); the super-saturation point checks
-   the measurement split open-loop load exists for: queueing delay blows
-   up while service latency stays flat. *)
-let openloop_bench () =
-  let point ~rate ~duration =
-    Harness.Openloop.run ~nodes:5 ~seed:19 ~warmup:500. ~duration ~rate
-      ~population:1_000_000
-      ~config:(Config.default Config.Closed)
-      ~benchmark:Benchmarks.Counter.benchmark
-      ~params:
-        { Benchmarks.Workload.default_params with objects = 512; calls = 1; read_ratio = 0.5 }
-      ()
-  in
-  print_endline "open-loop bench: Poisson arrivals, 1M logical clients (counter workload)";
-  let under = point ~rate:150. ~duration:8_000. in
-  Format.printf "  %a@." Harness.Openloop.pp_result under;
-  let over = point ~rate:5_000. ~duration:3_000. in
-  Format.printf "  %a@." Harness.Openloop.pp_result over;
-  let out = if cli.out = "BENCH_harness.json" then "BENCH_openloop.json" else cli.out in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"openloop\",\n\
-    \  \"population\": 1000000,\n\
-    \  \"under_saturation\": %s,\n\
-    \  \"over_saturation\": %s\n\
-     }\n"
-    (Harness.Openloop.to_json under)
-    (Harness.Openloop.to_json over);
-  close_out oc;
-  Printf.printf "wrote %s\n%!" out;
-  let fail msg =
-    Printf.eprintf "FAIL: %s\n" msg;
-    exit 1
-  in
-  (match under.invariant with
-  | Ok () -> ()
-  | Error m -> fail ("under-saturation invariant: " ^ m));
-  (match under.consistent with
-  | Ok () -> ()
-  | Error m -> fail ("under-saturation oracle: " ^ m));
-  if under.achieved_load < 0.8 *. under.offered_load
-     || under.achieved_load > 1.2 *. under.offered_load then
-    fail
-      (Printf.sprintf
-         "under saturation, achieved load %.1f/s does not track offered %.1f/s"
-         under.achieved_load under.offered_load);
-  if over.achieved_load > 0.8 *. over.offered_load then
-    fail
-      (Printf.sprintf
-         "past saturation, achieved load %.1f/s implausibly tracks offered %.1f/s"
-         over.achieved_load over.offered_load);
-  if over.queue_p50 <= over.service_p99 then
-    fail
-      (Printf.sprintf
-         "past saturation, queueing delay p50 (%.2f ms) should dominate \
-          service p99 (%.2f ms)"
-         over.queue_p50 over.service_p99);
-  if over.final_backlog = 0 then
-    fail "past saturation, the window closed with an empty backlog";
-  Printf.printf
-    "  gates ok: achieved tracks offered below saturation; queueing delay \
-     dominates past it\n%!"
-
-let () =
-  if cli.wall then wall_bench ()
-  else if cli.alloc then alloc_bench ()
-  else if cli.openloop then openloop_bench ()
-  else begin
-    Harness.Pool.set_jobs jobs_effective;
-    figures ();
-    ablations ();
-    micro ()
   end
+
+let () = if overhead_mode then overhead () else ablations ()

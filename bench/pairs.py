@@ -17,35 +17,39 @@ BENCHMARK.json gives the metric.  Last, it prints one JSON object: a
 "trajectory" entry for BENCH_<workload>.json with the quartiles and wins
 of wall_commits_per_s and minor_words_per_commit (the metrics a --trace 0
 run reports; missing ones are left out), labelled with --label.
+
+Then it gates: for every end-to-end metric of BENCHMARK.json, it prints
+the change median over the parent median, and it exits 1 if the change
+median is worse than the parent median by more than that metric's bound.
 """
 
 import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
+
+from gate import PerfbenchError, run_perfbench
 
 TRAJECTORY_METRICS = ("wall_commits_per_s", "minor_words_per_commit")
 
 
-def directions(root):
+def load_benchmark(root):
+    """The direction of every metric and the bound of every end-to-end one."""
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    return better, {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
 
 def run_once(root, args):
     cmd = ["python3", "perfbench/run.py", "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
            "--trace", str(args.trace)]
-    run = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
-    lines = run.stdout.strip().splitlines()
-    if run.returncode != 0 or not lines:
-        sys.exit("pairs: %s: %s exited %d" % (root, " ".join(cmd), run.returncode))
-    result = json.loads(lines[-1])
-    if result["correct"] is not True:
-        sys.exit("pairs: %s: run not correct" % root)
+    try:
+        result = run_perfbench(cmd, cwd=root)
+    except PerfbenchError as e:
+        sys.exit("pairs: %s: %s" % (root, e))
     return {name: m["value"] for name, m in result["metrics"].items()
             if isinstance(m.get("value"), (int, float))}
 
@@ -81,7 +85,7 @@ def main():
     args = ap.parse_args()
     if args.pairs < 1:
         sys.exit("pairs: --pairs must be positive")
-    better = directions(args.change)
+    better, bounds = load_benchmark(args.change)
 
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -119,6 +123,23 @@ def main():
                 "change_wins": wins(parent, change, better[name]),
             }
     print(json.dumps(entry, indent=2))
+
+    failed = []
+    for name, bound in bounds.items():
+        if name not in cols:
+            continue
+        p, c = (quartiles(v)[1] for v in cols[name])
+        if better[name] == "higher":
+            worse = c < p * (1 - bound)
+        else:
+            worse = c > p * (1 + bound)
+        ratio = "%.4f" % (c / p) if p else "n/a"
+        print("bound %-24s change/parent median %s (bound %g) %s" % (
+            name, ratio, bound, "WORSE" if worse else "ok"))
+        if worse:
+            failed.append(name)
+    if failed:
+        sys.exit("pairs: worse than the parent beyond the bound: " + ", ".join(failed))
 
 
 if __name__ == "__main__":

@@ -637,7 +637,7 @@ let json_escape s =
   Buffer.contents buf
 
 let result_to_json r =
-  let status = function Ok () -> {|"ok"|} | Error msg -> Printf.sprintf "%S" (json_escape msg) in
+  let status = function Ok () -> {|"ok"|} | Error msg -> "\"" ^ json_escape msg ^ "\"" in
   let base =
     Printf.sprintf
       {|{"seed":%d,"pass":%b,"schedule":"%s","commits":%d,"root_aborts":%d,"quiesced_at":%.1f,"oracle":%s,"invariant":%s,"stalls":%d,"lease_expired":%d,"presumed_abort":%d,"status_rescued_commits":%d,"stalls_detected":%d,"retransmit_exhausted":%d,"view_changes":%d,"final_epoch":%d,"fenced":%d|}

@@ -52,39 +52,6 @@ let pp_result fmt r =
     r.queue_mean r.queue_p50 r.queue_p95 r.queue_p99 r.peak_backlog
     r.final_backlog (status r.invariant) (status r.consistent)
 
-let to_json r =
-  let b = Buffer.create 512 in
-  let field ?(last = false) name v =
-    Buffer.add_string b (Printf.sprintf "  %S: %s%s\n" name v
-                           (if last then "" else ","))
-  in
-  Buffer.add_string b "{\n";
-  field "label" (Printf.sprintf "%S" r.label);
-  field "duration_ms" (Printf.sprintf "%.1f" r.duration);
-  field "offered_load_per_s" (Printf.sprintf "%.3f" r.offered_load);
-  field "achieved_load_per_s" (Printf.sprintf "%.3f" r.achieved_load);
-  field "population" (string_of_int r.population);
-  field "arrivals" (string_of_int r.arrivals);
-  field "completions" (string_of_int r.completions);
-  field "commits" (string_of_int r.commits);
-  field "aborts" (string_of_int r.aborts);
-  field "service_mean_ms" (Printf.sprintf "%.4f" r.service_mean);
-  field "service_p50_ms" (Printf.sprintf "%.4f" r.service_p50);
-  field "service_p95_ms" (Printf.sprintf "%.4f" r.service_p95);
-  field "service_p99_ms" (Printf.sprintf "%.4f" r.service_p99);
-  field "queue_mean_ms" (Printf.sprintf "%.4f" r.queue_mean);
-  field "queue_p50_ms" (Printf.sprintf "%.4f" r.queue_p50);
-  field "queue_p95_ms" (Printf.sprintf "%.4f" r.queue_p95);
-  field "queue_p99_ms" (Printf.sprintf "%.4f" r.queue_p99);
-  field "peak_backlog" (string_of_int r.peak_backlog);
-  field "final_backlog" (string_of_int r.final_backlog);
-  field "invariant"
-    (match r.invariant with Ok () -> "\"ok\"" | Error m -> Printf.sprintf "%S" m);
-  field ~last:true "oracle"
-    (match r.consistent with Ok () -> "\"ok\"" | Error m -> Printf.sprintf "%S" m);
-  Buffer.add_string b "}";
-  Buffer.contents b
-
 (* Deterministic per-arrival RNG: the "lazy client state".  A logical
    client is nothing but a number; each of its requests is a pure function
    of (seed, client, global arrival ordinal), so a million-client

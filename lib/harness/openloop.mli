@@ -83,4 +83,3 @@ val run :
     {!Experiment.run}. *)
 
 val pp_result : Format.formatter -> result -> unit
-val to_json : result -> string

@@ -215,13 +215,15 @@ let test_kind_interned_after_create () =
 
 (* --- allocation budget -------------------------------------------------- *)
 
-(* Steady-state commit cost in minor-heap words, measured exactly as
-   [bench alloc] measures it (same 13-node closed-loop bank workload).
-   The pooled-envelope + flat-payload hot path measures ~7_100 minor
-   words per committed transaction; the budget is that figure plus the
-   >20%-regression allowance from the benchmark gate, rounded up for
-   cross-machine slack.  If this trips, something reintroduced per-event
-   or per-message allocation — run [bench alloc] to bisect. *)
+(* Steady-state commit cost in minor-heap words on a 13-node closed-loop
+   bank workload (26 clients, 64 accounts, one transfer per transaction).
+   The pooled-envelope + flat-payload hot path measured ~7_100 minor
+   words per committed transaction here; the budget is that figure plus
+   the 20% allocation allowance, rounded up for cross-machine slack.  The
+   relative gate is bench/gate.py: each BENCH_<workload>.json commits
+   perfbench's minor and major words per commit, and a run more than 20%
+   above them fails.  If this trips, something reintroduced per-event or
+   per-message allocation — bisect with `python3 bench/gate.py`. *)
 let minor_words_budget = 9_500.
 
 let test_allocation_budget () =

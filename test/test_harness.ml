@@ -130,6 +130,19 @@ let test_run_system_qr_and_baselines () =
       (fun () -> Harness.Experiment.decent_system ~nodes:7 ~seed:23 ());
     ]
 
+(* A failure message reaches the chaos JSON escaped once: quote,
+   backslash and newline as JSON escapes, UTF-8 bytes as they are. *)
+let test_chaos_json_escapes_once () =
+  let knobs =
+    { Harness.Chaos.default_knobs with clients = 4; horizon = 1_000.; max_crashes = 0 }
+  in
+  let r = Harness.Chaos.run_one knobs ~seed:3 in
+  let json =
+    Harness.Chaos.result_to_json { r with Harness.Chaos.oracle = Error "a\"b\\c\nd \xc3\xa9" }
+  in
+  let want = {|"oracle":"a\"b\\c\nd |} ^ "\xc3\xa9\"" in
+  if not (contains json want) then Alcotest.failf "want %s in %s" want json
+
 let suite =
   [
     Alcotest.test_case "experiment smoke" `Quick test_experiment_smoke;
@@ -140,4 +153,5 @@ let suite =
     Alcotest.test_case "report rendering" `Quick test_report_rendering;
     Alcotest.test_case "pct change" `Quick test_pct_change;
     Alcotest.test_case "run_system over all DTMs" `Quick test_run_system_qr_and_baselines;
+    Alcotest.test_case "chaos JSON escapes a message once" `Quick test_chaos_json_escapes_once;
   ]

@@ -147,29 +147,31 @@ let open_loop ?(rate = 200.) ?(population = 1_000_000) ?(duration = 5_000.) ()
       }
     ()
 
+(* Two offered loads the 5-node cluster absorbs: the default point and a
+   longer, lighter one. *)
 let test_open_loop_underload () =
-  let r = open_loop () in
-  Alcotest.(check bool) "invariant holds" true (r.Harness.Openloop.invariant = Ok ());
-  Alcotest.(check bool) "oracle holds" true (r.consistent = Ok ());
-  Alcotest.(check bool) "million-client population" true
-    (r.population = 1_000_000);
-  Alcotest.(check bool)
-    (Printf.sprintf "achieved (%.1f/s) tracks offered (%.1f/s)"
-       r.achieved_load r.offered_load)
-    true
-    (r.achieved_load > 0.8 *. r.offered_load
-    && r.achieved_load < 1.2 *. r.offered_load);
-  Alcotest.(check bool)
-    (Printf.sprintf "underloaded queueing is small (p99=%.2fms)" r.queue_p99)
-    true
-    (r.queue_p99 < r.service_p99 *. 10.);
-  Alcotest.(check bool) "percentiles ordered" true
-    (r.service_p50 <= r.service_p95 && r.service_p95 <= r.service_p99);
-  (* A transient handful can be queued at the window-close instant; a
-     saturated run would close with hundreds. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "no saturated backlog (final=%d)" r.final_backlog)
-    true (r.final_backlog < 50)
+  List.iter
+    (fun (rate, duration) ->
+      let r = open_loop ~rate ~duration () in
+      let check what = Alcotest.(check bool) (Printf.sprintf "%.0f/s: %s" rate what) true in
+      check "invariant holds" (r.Harness.Openloop.invariant = Ok ());
+      check "oracle holds" (r.consistent = Ok ());
+      check "million-client population" (r.population = 1_000_000);
+      check
+        (Printf.sprintf "achieved (%.1f/s) tracks offered (%.1f/s)" r.achieved_load
+           r.offered_load)
+        (r.achieved_load > 0.8 *. r.offered_load
+        && r.achieved_load < 1.2 *. r.offered_load);
+      check
+        (Printf.sprintf "underloaded queueing is small (p99=%.2fms)" r.queue_p99)
+        (r.queue_p99 < r.service_p99 *. 10.);
+      check "percentiles ordered"
+        (r.service_p50 <= r.service_p95 && r.service_p95 <= r.service_p99);
+      (* A transient handful can be queued at the window-close instant; a
+         saturated run would close with hundreds. *)
+      check (Printf.sprintf "no saturated backlog (final=%d)" r.final_backlog)
+        (r.final_backlog < 50))
+    [ (200., 5_000.); (150., 8_000.) ]
 
 let test_open_loop_deterministic () =
   let r1 = open_loop ~duration:2_000. () in
@@ -180,18 +182,22 @@ let test_open_loop_deterministic () =
    past service latency while service latency itself stays bounded —
    the separation that closed-loop drivers cannot show. *)
 let test_open_loop_saturation () =
-  let r = open_loop ~rate:5_000. ~duration:2_000. () in
-  Alcotest.(check bool)
-    (Printf.sprintf "achieved (%.1f/s) saturates below offered (%.1f/s)"
-       r.achieved_load r.offered_load)
-    true
-    (r.achieved_load < 0.8 *. r.offered_load);
-  Alcotest.(check bool)
-    (Printf.sprintf "queueing (p50=%.1fms) dominates service (p99=%.2fms)"
-       r.queue_p50 r.service_p99)
-    true
-    (r.queue_p50 > r.service_p99);
-  Alcotest.(check bool) "backlog at close" true (r.final_backlog > 0)
+  List.iter
+    (fun duration ->
+      let r = open_loop ~rate:5_000. ~duration () in
+      let check what =
+        Alcotest.(check bool) (Printf.sprintf "%.0f ms: %s" duration what) true
+      in
+      check
+        (Printf.sprintf "achieved (%.1f/s) saturates below offered (%.1f/s)"
+           r.achieved_load r.offered_load)
+        (r.achieved_load < 0.8 *. r.offered_load);
+      check
+        (Printf.sprintf "queueing (p50=%.1fms) dominates service (p99=%.2fms)"
+           r.queue_p50 r.service_p99)
+        (r.queue_p50 > r.service_p99);
+      check "backlog at close" (r.final_backlog > 0))
+    [ 2_000.; 3_000. ]
 
 let suite =
   [
